@@ -117,34 +117,37 @@ class HMatrix {
     return eff_skel_[static_cast<size_t>(node)];
   }
 
-  // -- Treecode matvecs (vectors in ORIGINAL point order) --------------
+  // -- Treecode matvecs (ORIGINAL point order) -------------------------
+  //
+  // One block treecode on [N x B] panels: every leaf block and sibling
+  // interaction is one fused GSKS block apply (each kernel entry is
+  // evaluated once per apply, whatever B is), and the skeleton gather
+  // and scatter are [s x B] GEMMs. The span overloads are its B = 1
+  // view.
 
-  /// y = (lambda I + K~) w, target-interpolation form (the factorized
-  /// operator).
+  /// Y = (lambda I + K~) W, target-interpolation form (the factorized
+  /// operator). W and Y are N x B; Y may alias W.
+  void apply(la::ConstMatrixView w, la::MatrixView y,
+             double lambda = 0.0) const;
   void apply(std::span<const double> w, std::span<double> y,
              double lambda = 0.0) const;
 
-  /// y = (lambda I + K~') w, source-skeleton form (classic ASKIT
-  /// treecode, the paper's MatVec baseline).
+  /// Y = (lambda I + K~') W, source-skeleton form (classic ASKIT
+  /// treecode, the paper's MatVec baseline). Y may alias W.
+  void apply_source(la::ConstMatrixView w, la::MatrixView y,
+                    double lambda = 0.0) const;
   void apply_source(std::span<const double> w, std::span<double> y,
                     double lambda = 0.0) const;
 
-  /// Relative residual ||u - (lambda I + K~) w|| / ||u|| (paper eq. 15).
+  /// Per-column relative residuals ||U_j - (lambda I + K~) W_j|| /
+  /// ||U_j|| (paper eq. 15; 0 for a zero column of U).
+  std::vector<double> relative_residual(la::ConstMatrixView w,
+                                        la::ConstMatrixView u,
+                                        double lambda) const;
   double relative_residual(std::span<const double> w,
                            std::span<const double> u, double lambda) const;
 
   // -- Internal-order helpers used by the solver ------------------------
-
-  /// Gather pass: skeleton coefficients w~_c = P_{c~,c} w_c for every
-  /// node, computed by telescoping (w in permuted order). Returned as a
-  /// per-node vector of coefficient vectors.
-  std::vector<std::vector<double>> gather_skeleton_weights(
-      std::span<const double> w_perm) const;
-
-  /// Scatter pass: y_c += P_{c,c~}^T-style expansion of skeleton
-  /// coefficients z at node c (permuted order accumulation).
-  void scatter_from_skeleton(index_t node, std::span<const double> z,
-                             std::span<double> y_perm) const;
 
   /// Permute a vector from original to tree order.
   std::vector<double> to_tree_order(std::span<const double> v) const;
@@ -157,8 +160,8 @@ class HMatrix {
                         std::mt19937_64& rng);
   void compute_effective_skeletons();
   void compute_frontier();
-  void apply_impl(std::span<const double> w, std::span<double> y,
-                  double lambda, bool source_form) const;
+  void treecode(la::ConstMatrixView w, la::MatrixView y, double lambda,
+                bool source_form) const;
 
   AskitConfig cfg_;
   tree::BallTree tree_;

@@ -23,10 +23,11 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kMagic = 0x46444b53434b5031ull;  // "FDKSCKP1".
 constexpr std::uint32_t kVersion = 1;
 
-// v2 appends the factor-content checksum (FactorTree::content_checksum)
-// after the accumulators; v1 checkpoints are rejected by kind mismatch
-// and simply refactorized.
-constexpr const char* kKindFactorTree = "fdks.factor_tree.v2";
+// v2 appended the factor-content checksum (FactorTree::content_checksum)
+// after the accumulators; v3 seals the word-wise checksum instead. Older
+// checkpoints are refused by kind mismatch, as an old version rather
+// than as corrupt, and simply refactorized.
+constexpr const char* kKindFactorTree = "fdks.factor_tree.v3";
 constexpr const char* kKindStage = "fdks.stage.v1";
 
 [[noreturn]] void reject(const std::string& path, const std::string& why) {
@@ -307,7 +308,7 @@ void save_factor_tree(const std::string& path, const core::FactorTree& ft,
   wire::put<std::int64_t>(payload, acc.nonfinite_nodes);
   wire::put(payload, acc.max_shift);
 
-  // Content checksum: chained FNV-1a over every factored node's numeric
+  // Content checksum: word-wise hash of every factored node's numeric
   // payload, recomputed after the factors are adopted at load time so a
   // checkpoint that rotted on disk (or a serialization bug) is rejected
   // instead of silently serving wrong answers.

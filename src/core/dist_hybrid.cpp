@@ -220,13 +220,7 @@ std::vector<double> DistributedHybridSolver::solve(
   if (insample && st.code != SolveCode::NonFinite) {
     VerifyOps ops;
     ops.emit_obs = comm_.rank() == 0;
-    ops.apply = [this, &vp](std::span<const double> in,
-                            std::span<double> y) {
-      if (vp.op == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, opts_.direct.lambda);
-      else
-        h_->apply(in, y, opts_.direct.lambda);
-    };
+    ops.apply = certification_operator(*h_, vp.op, opts_.direct.lambda);
     ops.solve = [this](std::span<const double> in, std::span<double> y) {
       const std::vector<double> s = solve_impl(in);
       std::copy(s.begin(), s.end(), y.begin());
@@ -369,12 +363,11 @@ Matrix DistributedHybridSolver::solve(const Matrix& u) {
     } else if (!all_finite(xc)) {
       st.code = SolveCode::NonFinite;
       st.detail = "solution contains NaN/Inf";
-    } else {
-      st.residual = std::max(
-          st.residual,
-          h_->relative_residual(xc, uc, opts_.direct.lambda));
     }
   }
+  if (st.code == SolveCode::Ok)
+    for (const double r : h_->relative_residual(x, u, opts_.direct.lambda))
+      st.residual = std::max(st.residual, r);
   if (st.code == SolveCode::Ok) {
     if (reduced_size_ > 0 && !last_.converged) {
       st.code = SolveCode::NotConverged;
@@ -390,13 +383,7 @@ Matrix DistributedHybridSolver::solve(const Matrix& u) {
   if (insample && st.code != SolveCode::NonFinite) {
     VerifyOps ops;
     ops.emit_obs = comm_.rank() == 0;
-    ops.apply = [this, &vp](std::span<const double> in,
-                            std::span<double> y) {
-      if (vp.op == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, opts_.direct.lambda);
-      else
-        h_->apply(in, y, opts_.direct.lambda);
-    };
+    ops.apply = certification_operator(*h_, vp.op, opts_.direct.lambda);
     ops.solve = [this](std::span<const double> in, std::span<double> y) {
       const std::vector<double> s = solve_impl(in);
       std::copy(s.begin(), s.end(), y.begin());

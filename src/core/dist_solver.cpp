@@ -361,15 +361,7 @@ std::vector<double> DistributedSolver::solve(std::span<const double> u) {
   if (insample && st.code != SolveCode::NonFinite) {
     VerifyOps ops;
     ops.emit_obs = comm_.rank() == 0;
-    const double lambda = ft_.options().lambda;
-    const VerifyPolicy::Operator vop = vp.op;
-    ops.apply = [this, lambda, vop](std::span<const double> in,
-                                    std::span<double> y) {
-      if (vop == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, lambda);
-      else
-        h_->apply(in, y, lambda);
-    };
+    ops.apply = certification_operator(*h_, vp.op, ft_.options().lambda);
     ops.solve = [this](std::span<const double> in, std::span<double> y) {
       const std::vector<double> q = solve_impl(in);
       std::copy(q.begin(), q.end(), y.begin());
@@ -526,12 +518,11 @@ Matrix DistributedSolver::solve(const Matrix& u) {
     } else if (!all_finite(xc)) {
       st.code = SolveCode::NonFinite;
       st.detail = "solution contains NaN/Inf";
-    } else {
-      st.residual = std::max(
-          st.residual,
-          h_->relative_residual(xc, uc, ft_.options().lambda));
     }
   }
+  if (st.code == SolveCode::Ok)
+    for (const double r : h_->relative_residual(x, u, ft_.options().lambda))
+      st.residual = std::max(st.residual, r);
   if (st.code == SolveCode::Ok &&
       factor_status_.code == FactorCode::ShiftedDiagonal)
     st.code = SolveCode::ShiftedDiagonal;
@@ -544,15 +535,7 @@ Matrix DistributedSolver::solve(const Matrix& u) {
   if (insample && st.code != SolveCode::NonFinite) {
     VerifyOps ops;
     ops.emit_obs = comm_.rank() == 0;
-    const double lambda = ft_.options().lambda;
-    const VerifyPolicy::Operator vop = vp.op;
-    ops.apply = [this, lambda, vop](std::span<const double> in,
-                                    std::span<double> y) {
-      if (vop == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, lambda);
-      else
-        h_->apply(in, y, lambda);
-    };
+    ops.apply = certification_operator(*h_, vp.op, ft_.options().lambda);
     ops.solve = [this](std::span<const double> in, std::span<double> y) {
       const std::vector<double> q = solve_impl(in);
       std::copy(q.begin(), q.end(), y.begin());

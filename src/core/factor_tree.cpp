@@ -227,32 +227,66 @@ size_t FactorTree::memory_bytes() const {
 
 namespace {
 
-/// Chain one node factor's numerical payload into an FNV-1a hash.
+/// Word-wise content hash. Four independent FNV-style lanes (xor an
+/// 8-byte word, multiply by the FNV prime) take the words round-robin,
+/// so the multiplies overlap instead of forming one dependent chain per
+/// byte. Every step is a bijection of its lane's state and the final
+/// fold is injective in each lane, so a change confined to one word
+/// always changes the digest.
+class WordHash {
+ public:
+  explicit WordHash(std::uint64_t seed) {
+    for (std::uint64_t k = 0; k < 4; ++k) lane_[k] = seed + k;
+  }
+
+  void mix(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    size_t i = 0;
+    std::uint64_t w[4] = {0, 0, 0, 0};
+    for (; i + sizeof w <= n; i += sizeof w) {
+      std::memcpy(w, p + i, sizeof w);
+      for (size_t k = 0; k < 4; ++k) step(k, w[k]);
+    }
+    size_t k = 0;
+    for (; i < n; i += 8, ++k) {  // Last 0-3 words, the final one padded.
+      w[0] = 0;
+      std::memcpy(w, p + i, std::min<size_t>(8, n - i));
+      step(k, w[0]);
+    }
+    step(0, n);
+  }
+
+  std::uint64_t digest() const {
+    std::uint64_t d = lane_[0];
+    for (size_t k = 1; k < 4; ++k) d = (d ^ lane_[k]) * kPrime;
+    return d;
+  }
+
+ private:
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
+  void step(size_t k, std::uint64_t w) { lane_[k] = (lane_[k] ^ w) * kPrime; }
+  std::uint64_t lane_[4];
+};
+
+/// Mix one node factor's numerical payload into the content hash.
 /// Covers everything a bit flip could land on that would change an
 /// answer: leaf LU/Cholesky blocks + pivots, stored V data, the
 /// reduced-system LU, P^/T matrices, and the diagonal shift.
-std::uint64_t chain_node_factor(const NodeFactor& f, index_t id,
-                                std::uint64_t hsh) {
-  const auto mix = [&hsh](const void* p, size_t n) {
-    hsh = askit::wire::fnv1a(p, n, hsh);
+void mix_node_factor(const NodeFactor& f, index_t id, WordHash& hsh) {
+  const auto mix_matrix = [&hsh](const Matrix& m) {
+    hsh.mix(m.data(), static_cast<size_t>(m.size()) * sizeof(double));
   };
-  const auto mix_matrix = [&](const Matrix& m) {
-    mix(m.data(), static_cast<size_t>(m.size()) * sizeof(double));
-  };
-  mix(&id, sizeof id);
-  mix(&f.diag_shift, sizeof f.diag_shift);
+  hsh.mix(&id, sizeof id);
+  hsh.mix(&f.diag_shift, sizeof f.diag_shift);
   mix_matrix(f.leaf_lu.lu);
-  if (!f.leaf_lu.piv.empty())
-    mix(f.leaf_lu.piv.data(), f.leaf_lu.piv.size() * sizeof(index_t));
+  hsh.mix(f.leaf_lu.piv.data(), f.leaf_lu.piv.size() * sizeof(index_t));
   mix_matrix(f.leaf_chol.l);
   mix_matrix(f.v_lr.stored_block());
   mix_matrix(f.v_rl.stored_block());
   mix_matrix(f.z_lu.lu);
-  if (!f.z_lu.piv.empty())
-    mix(f.z_lu.piv.data(), f.z_lu.piv.size() * sizeof(index_t));
+  hsh.mix(f.z_lu.piv.data(), f.z_lu.piv.size() * sizeof(index_t));
   mix_matrix(f.phat);
   mix_matrix(f.tmat);
-  return hsh;
 }
 
 }  // namespace
@@ -260,12 +294,12 @@ std::uint64_t chain_node_factor(const NodeFactor& f, index_t id,
 std::uint64_t FactorTree::content_checksum() const {
   // Flat walk in node order (same rationale as memory_bytes: hashes
   // whatever factors are resident, whatever topology produced them).
-  std::uint64_t hsh = askit::wire::fnv1a("fdks-factor-content-v1", 22);
+  WordHash hsh(askit::wire::fnv1a("fdks-factor-content-v2", 22));
   for (size_t i = 0; i < nf_.size(); ++i) {
     if (!nf_[i].factored) continue;
-    hsh = chain_node_factor(nf_[i], static_cast<index_t>(i), hsh);
+    mix_node_factor(nf_[i], static_cast<index_t>(i), hsh);
   }
-  return hsh;
+  return hsh.digest();
 }
 
 bool FactorTree::corrupt_factor_bit(std::uint64_t seed) {

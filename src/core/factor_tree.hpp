@@ -246,10 +246,11 @@ class FactorTree {
   void adopt_accumulators(const FactorAccumulators& acc);
 
   /// Content checksum over every factored node's numerical payload
-  /// (chained FNV-1a across LU/Cholesky blocks, stored V data, Z
-  /// factors, P^/T matrices, shifts and node ids). Two trees with
-  /// identical factors hash identically; a single flipped bit anywhere
-  /// changes the hash. Used for lazy integrity verification on
+  /// (LU/Cholesky blocks, stored V data, Z factors, P^/T matrices,
+  /// shifts and node ids), hashed 8-byte word by word in four
+  /// interleaved FNV-style lanes. Two trees with identical factors hash
+  /// identically; a change confined to one word anywhere changes the
+  /// hash. Used for lazy integrity verification on
   /// FactorCache hits and on checkpoint restore (self-healing: a
   /// mismatch invalidates and refactorizes instead of serving garbage).
   std::uint64_t content_checksum() const;

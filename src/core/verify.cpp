@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "la/blas1.hpp"
@@ -26,13 +27,15 @@ bool should_verify(const VerifyPolicy& p, std::uint64_t solve_index) {
   return false;
 }
 
-void verify_apply(const FastDirectSolver& s, const VerifyPolicy& p,
-                  std::span<const double> x, std::span<double> y) {
-  const HMatrix& h = s.factor_tree().hmatrix();
-  if (p.op == VerifyPolicy::Operator::Treecode)
-    h.apply_source(x, y, s.lambda());
-  else
-    h.apply(x, y, s.lambda());
+BlockOp certification_operator(const HMatrix& h, VerifyPolicy::Operator op,
+                               double lambda) {
+  if (op == VerifyPolicy::Operator::Treecode)
+    return [&h, lambda](la::ConstMatrixView x, la::MatrixView y) {
+      h.apply_source(x, y, lambda);
+    };
+  return [&h, lambda](la::ConstMatrixView x, la::MatrixView y) {
+    h.apply(x, y, lambda);
+  };
 }
 
 namespace {
@@ -42,14 +45,42 @@ double elapsed_seconds(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// r = b − A x; returns ‖r‖/‖b‖ (‖r‖ when b = 0).
-double residual_into(const VerifyOps& ops, std::span<const double> b,
-                     std::span<const double> x, std::span<double> r) {
-  ops.apply(x, r);
+/// r holds A x on entry; turns it into b − A x and returns ‖r‖/‖b‖
+/// (‖r‖ when b = 0).
+double finish_residual(std::span<const double> b, std::span<double> r) {
   for (size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
   const double bnorm = la::nrm2(b);
   const double rnorm = la::nrm2(r);
   return bnorm > 0.0 ? rnorm / bnorm : rnorm;
+}
+
+/// r = b − A x for one column; returns ‖r‖/‖b‖.
+double residual_into(const VerifyOps& ops, std::span<const double> b,
+                     std::span<const double> x, std::span<double> r) {
+  ops.apply(la::column_view(x), la::column_view(r));
+  return finish_residual(b, r);
+}
+
+/// Measures columns `cols` (ascending) of x with ONE block apply:
+/// r_j = b_j − A x_j and rel_j for every j in `cols`.
+void measure_columns(const VerifyOps& ops, const Matrix& b, const Matrix& x,
+                     const std::vector<index_t>& cols, Matrix& r,
+                     std::vector<double>& rel) {
+  const index_t n = b.rows();
+  const auto nc = static_cast<index_t>(cols.size());
+  if (nc == 0) return;
+  if (nc == x.cols()) {  // Every column: apply straight into r.
+    ops.apply(x, r);
+  } else {
+    Matrix rf = x.select_cols(cols);
+    ops.apply(rf, rf);
+    for (index_t i = 0; i < nc; ++i)
+      std::copy(rf.col(i), rf.col(i) + n, r.col(cols[static_cast<size_t>(i)]));
+  }
+  for (const index_t j : cols)
+    rel[static_cast<size_t>(j)] = finish_residual(
+        std::span<const double>(b.col(j), static_cast<size_t>(n)),
+        std::span<double>(r.col(j), static_cast<size_t>(n)));
 }
 
 bool certified(double rel, const VerifyPolicy& p) {
@@ -72,8 +103,12 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
   go.record_history = false;
   go.cancel = cancel;
   go.right_precond = ops.solve;
+  const iter::LinOp a = [&ops](std::span<const double> in,
+                              std::span<double> out) {
+    ops.apply(la::column_view(in), la::column_view(out));
+  };
   const iter::GmresResult gr =
-      iter::gmres(static_cast<index_t>(b.size()), ops.apply, b, go);
+      iter::gmres(static_cast<index_t>(b.size()), a, b, go);
   // Trust a measured residual, not the Givens estimate: the candidate
   // only replaces the incumbent when it is verifiably better.
   std::vector<double> scratch(b.size(), 0.0);
@@ -158,15 +193,17 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
     return std::span<double>(m.col(j), static_cast<size_t>(n));
   };
 
-  // Measure every column; the failing set is what the ladder works on.
+  // Rung 0: measure the whole batch with one block apply; the failing
+  // set is what the ladder works on.
   Matrix r(n, cols);
   std::vector<double> rel(static_cast<size_t>(cols), 0.0);
+  std::vector<index_t> all(static_cast<size_t>(cols));
+  std::iota(all.begin(), all.end(), index_t{0});
+  measure_columns(ops, b, x, all, r, rel);
   std::vector<index_t> failing;
   for (index_t j = 0; j < cols; ++j) {
     outs[static_cast<size_t>(j)].measured = true;
     if (ops.emit_obs) obs::add("verify.checks");
-    rel[static_cast<size_t>(j)] = residual_into(
-        ops, col_span(b, j), col_span(x, j), col_span_mut(r, j));
     if (!certified(rel[static_cast<size_t>(j)], p)) {
       if (ops.emit_obs) obs::add("verify.fail");
       if (std::isfinite(rel[static_cast<size_t>(j)]))
@@ -174,19 +211,16 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
     }
   }
 
-  // Rung 1, batched: one narrow blocked correction solve per step over
-  // the still-failing columns (per-column blame, batched repair).
+  // Rung 1, batched: one narrow blocked correction solve and one block
+  // re-measure per step over the still-failing columns (per-column
+  // blame, batched repair).
   std::vector<double> dxcol(static_cast<size_t>(n), 0.0);
   for (int step = 0; step < p.max_refine_steps && !failing.empty();
        ++step) {
     if (cancel) cancel->check("core::certify_and_refine_block");
     Matrix dxf(n, static_cast<index_t>(failing.size()));
     if (ops.solve_block) {
-      Matrix rf(n, static_cast<index_t>(failing.size()));
-      for (size_t i = 0; i < failing.size(); ++i)
-        std::copy(r.col(failing[i]), r.col(failing[i]) + n,
-                  rf.col(static_cast<index_t>(i)));
-      dxf = ops.solve_block(rf);
+      dxf = ops.solve_block(r.select_cols(failing));
     } else {
       for (size_t i = 0; i < failing.size(); ++i) {
         ops.solve(col_span(r, failing[i]), dxcol);
@@ -194,29 +228,34 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
                   dxf.col(static_cast<index_t>(i)));
       }
     }
-    std::vector<index_t> still;
+    std::vector<double> prev(failing.size());
+    for (size_t i = 0; i < failing.size(); ++i) {
+      const double* dx = dxf.col(static_cast<index_t>(i));
+      double* xj = x.col(failing[i]);
+      for (index_t k = 0; k < n; ++k) xj[k] += dx[k];
+      prev[i] = rel[static_cast<size_t>(failing[i])];
+    }
+    measure_columns(ops, b, x, failing, r, rel);
+    std::vector<index_t> still, rolled_back;
     for (size_t i = 0; i < failing.size(); ++i) {
       const index_t j = failing[i];
-      const double* dx = dxf.col(static_cast<index_t>(i));
-      double* xj = x.col(j);
-      for (index_t k = 0; k < n; ++k) xj[k] += dx[k];
-      const double prev = rel[static_cast<size_t>(j)];
-      rel[static_cast<size_t>(j)] = residual_into(
-          ops, col_span(b, j), col_span(x, j), col_span_mut(r, j));
       if (ops.emit_obs) obs::add("refine.steps");
       ++outs[static_cast<size_t>(j)].refine_steps;
       const double now = rel[static_cast<size_t>(j)];
       if (certified(now, p)) continue;
-      if (!std::isfinite(now) || now >= p.min_step_improvement * prev) {
-        if (!std::isfinite(now) || now > prev) {
+      if (!std::isfinite(now) || now >= p.min_step_improvement * prev[i]) {
+        if (!std::isfinite(now) || now > prev[i]) {
+          // The step made things worse: roll it back.
+          const double* dx = dxf.col(static_cast<index_t>(i));
+          double* xj = x.col(j);
           for (index_t k = 0; k < n; ++k) xj[k] -= dx[k];
-          rel[static_cast<size_t>(j)] = residual_into(
-              ops, col_span(b, j), col_span(x, j), col_span_mut(r, j));
+          rolled_back.push_back(j);
         }
         continue;  // Stagnated: falls through to the GMRES rung below.
       }
       still.push_back(j);
     }
+    measure_columns(ops, b, x, rolled_back, r, rel);
     failing.swap(still);
   }
 
@@ -246,9 +285,8 @@ namespace {
 VerifyOps solver_ops(const FastDirectSolver& s, const VerifyPolicy& p,
                      const CancelToken* cancel) {
   VerifyOps ops;
-  ops.apply = [&s, &p](std::span<const double> in, std::span<double> y) {
-    verify_apply(s, p, in, y);
-  };
+  ops.apply =
+      certification_operator(s.factor_tree().hmatrix(), p.op, s.lambda());
   ops.solve = [&s, cancel](std::span<const double> in, std::span<double> y) {
     s.solve(in, y, cancel);
   };

@@ -41,19 +41,24 @@ namespace fdks::core {
 /// factorization is the one most worth checking).
 bool should_verify(const VerifyPolicy& p, std::uint64_t solve_index);
 
-/// y = (λI+K) x through the operator the policy certifies against.
-/// λ is taken from the solver's options.
-void verify_apply(const FastDirectSolver& s, const VerifyPolicy& p,
-                  std::span<const double> x, std::span<double> y);
+/// A certification operator Y = (λI+K)X on [N × B] views. Y may alias
+/// X: the ladder re-measures a gathered panel in place.
+using BlockOp = std::function<void(la::ConstMatrixView, la::MatrixView)>;
 
-/// The two callbacks the ladder is generic over. `apply` is the
-/// certification operator y = (λI+K)x; `solve` is the approximate
-/// factor y = F⁻¹ b used for refinement corrections and as the GMRES
-/// right preconditioner. `solve_block` (optional) batches the rung-1
-/// corrections of the block ladder; when empty, columns are corrected
-/// one solve() at a time.
+/// The operator `op` certifies against on `h` at `lambda`: the
+/// target-interpolation apply() for Factorized, the source-skeleton
+/// apply_source() for Treecode. `h` must outlive the returned operator.
+BlockOp certification_operator(const HMatrix& h, VerifyPolicy::Operator op,
+                               double lambda);
+
+/// The callbacks the ladder is generic over. `apply` is the block
+/// certification operator (certification_operator); `solve` is the
+/// approximate factor y = F⁻¹ b used for refinement corrections and as
+/// the GMRES right preconditioner. `solve_block` (optional) batches the
+/// rung-1 corrections of the block ladder; when empty, columns are
+/// corrected one solve() at a time.
 struct VerifyOps {
-  iter::LinOp apply;
+  BlockOp apply;
   iter::LinOp solve;
   std::function<Matrix(const Matrix&)> solve_block;
   /// Emit verify.*/refine.* obs keys. Distributed callers set this on
@@ -73,12 +78,13 @@ VerifyOutcome certify_and_refine_ops(const VerifyOps& ops,
                                      const VerifyPolicy& p,
                                      const CancelToken* cancel = nullptr);
 
-/// Batched variant: certify every column of x against b, then refine
-/// ONLY the failing columns — each refinement step gathers their
-/// residuals into one narrow block, runs a single blocked correction
-/// solve, and scatters the updates back (per-column blame, batched
-/// repair). Columns that stagnate above target escalate individually
-/// through the GMRES rung. Returns one outcome per column.
+/// Batched variant: certify every column of x against b with one block
+/// apply, then refine ONLY the failing columns — each refinement step
+/// gathers their residuals into one narrow block, runs a single blocked
+/// correction solve, scatters the updates back and re-measures them
+/// with one block apply (per-column blame, batched repair). Columns
+/// that stagnate above target escalate individually through the GMRES
+/// rung. Returns one outcome per column.
 std::vector<VerifyOutcome> certify_and_refine_block_ops(
     const VerifyOps& ops, const Matrix& b, Matrix& x, const VerifyPolicy& p,
     const CancelToken* cancel = nullptr);

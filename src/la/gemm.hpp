@@ -58,6 +58,9 @@ void gemm_ref(Trans ta, Trans tb, double alpha, const Matrix& a,
 
 /// Raw-pointer GEMM on column-major blocks (no transposes):
 /// C(m,n) = beta*C + alpha*A(m,k)*B(k,n). Used inside tiled kernels.
+/// Narrow right-hand sides (n <= 4) skip the packing of B but keep the
+/// packed path's arithmetic, so a result never depends on which path
+/// ran; a 1-column GEMM costs about what the GEMV does.
 void gemm_raw(index_t m, index_t n, index_t k, double alpha, const double* a,
               index_t lda, const double* b, index_t ldb, double beta,
               double* c, index_t ldc);

@@ -174,6 +174,16 @@ class ConstMatrixView {
   index_t ld_ = 0;
 };
 
+/// A length-n vector as an n x 1 view: the B = 1 case of a block routine.
+inline ConstMatrixView column_view(std::span<const double> v) {
+  const auto n = static_cast<index_t>(v.size());
+  return {v.data(), n, 1, n > 0 ? n : 1};
+}
+inline MatrixView column_view(std::span<double> v) {
+  const auto n = static_cast<index_t>(v.size());
+  return {v.data(), n, 1, n > 0 ? n : 1};
+}
+
 /// Max |a(i,j) - b(i,j)|; matrices must have identical shape.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 

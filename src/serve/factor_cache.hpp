@@ -17,7 +17,7 @@
 // insert/evict/heal sets it to the bytes held right now.
 //
 // Resident factors are integrity-checked lazily: every FastDirectSolver
-// seals a content checksum (FNV-1a over the factor payload) at
+// seals a content checksum (word-wise hash of the factor payload) at
 // factorization, and the cache re-verifies it on the first hit and
 // every integrity_check_every-th hit thereafter. A mismatch — cosmic
 // ray, bad DIMM, stray write — is self-healing: the corrupted entry is

@@ -3,6 +3,8 @@
 
 #include <random>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
@@ -203,6 +205,85 @@ TEST(Counters, ExecutedGemmCountsFlops) {
   EXPECT_GE(counter_of("gemm.calls"), calls0 + 1.0);
   EXPECT_DOUBLE_EQ(counter_of("flops.gemm"),
                    flops0 + 2.0 * 4.0 * 5.0 * 3.0);
+}
+
+// The block treecode's B = 1 view relies on these: a 1-column GEMM
+// reduces like GEMV and a 1-row GEMM like the transposed GEMV, bit for
+// bit, for depths up to one kKc = 256 chunk — below and above the
+// small-problem cutoff.
+TEST(Gemm, OneColumnAndOneRowReduceLikeGemv) {
+  std::mt19937_64 rng(21);
+  for (const auto& [rows, cols] :
+       {std::pair<index_t, index_t>{48, 64}, {200, 250}, {256, 256}}) {
+    const Matrix a = Matrix::random_gaussian(rows, cols, rng);
+    const Matrix x = Matrix::random_gaussian(cols, 1, rng);
+    const Matrix z = Matrix::random_gaussian(rows, 1, rng);
+
+    std::vector<double> ref(static_cast<size_t>(rows));
+    gemv(Trans::No, 1.0, a, std::span<const double>(x.data(), x.size()),
+         0.0, ref);
+    Matrix got(rows, 1);
+    gemm(1.0, a, x, 0.0, got);
+    for (index_t i = 0; i < rows; ++i)
+      ASSERT_EQ(got(i, 0), ref[static_cast<size_t>(i)]) << rows << "x" << cols;
+
+    std::vector<double> reft(static_cast<size_t>(cols));
+    gemv(Trans::Yes, 1.0, a, std::span<const double>(z.data(), z.size()),
+         0.0, reft);
+    Matrix gott(1, cols);
+    gemm(1.0, ConstMatrixView(z.data(), 1, rows, 1), a, 0.0, gott);
+    for (index_t j = 0; j < cols; ++j)
+      ASSERT_EQ(gott(0, j), reft[static_cast<size_t>(j)])
+          << rows << "x" << cols;
+  }
+}
+
+// Narrow right-hand sides (n <= 4) above the small-problem cutoff take a
+// path that skips B packing; it must reproduce the packed micro-kernel
+// bit for bit. The same call padded to n = 8 runs the packed path, so
+// its first n columns are the reference. Widths 5..7 are packed today
+// and are covered too, so moving the cutoff cannot change a result.
+TEST(GemmRaw, NarrowMatchesPackedBitwise) {
+  ObsOn obs_on;
+  std::mt19937_64 rng(12);
+  std::normal_distribution<double> g(0.0, 1.0);
+  const index_t kPad = 8;
+  for (const index_t m : {index_t{37}, index_t{300}})
+    for (const index_t k : {index_t{255}, index_t{300}, index_t{1000}})
+      for (const double beta : {0.0, 1.0, 0.5})
+        for (index_t n = 1; n < kPad; ++n) {
+          if (m * n * k <= 32 * 32 * 32) continue;  // Small-problem path.
+          const double alpha = -0.75;
+          const index_t lda = m + 3, ldb = k + 2, ldc = m + 5;
+          std::vector<double> a(static_cast<size_t>(lda * k));
+          std::vector<double> b(static_cast<size_t>(ldb * kPad));
+          std::vector<double> c0(static_cast<size_t>(ldc * kPad));
+          for (auto* v : {&a, &b, &c0})
+            for (double& x : *v) x = g(rng);
+          std::vector<double> narrow = c0, padded = c0;
+
+          const double calls0 = counter_of("gemm.calls");
+          const double flops0 = counter_of("flops.gemm");
+          gemm_raw(m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
+                   narrow.data(), ldc);
+          EXPECT_DOUBLE_EQ(counter_of("gemm.calls"), calls0 + 1.0);
+          EXPECT_DOUBLE_EQ(counter_of("flops.gemm"),
+                           flops0 + 2.0 * double(m) * double(n) * double(k));
+
+          gemm_raw(m, kPad, k, alpha, a.data(), lda, b.data(), ldb, beta,
+                   padded.data(), ldc);
+          for (index_t j = 0; j < kPad; ++j)
+            for (index_t i = 0; i < ldc; ++i) {
+              const size_t at = static_cast<size_t>(i + j * ldc);
+              // Inside the n columns: the packed result, bitwise. Past
+              // them, and in the ldc padding rows: untouched.
+              const double want =
+                  (j < n && i < m) ? padded[at] : c0[at];
+              ASSERT_EQ(narrow[at], want)
+                  << "m=" << m << " n=" << n << " k=" << k
+                  << " beta=" << beta << " at (" << i << "," << j << ")";
+            }
+        }
 }
 
 TEST(GemvRaw, MatchesGemv) {

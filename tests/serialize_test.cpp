@@ -193,6 +193,30 @@ TEST_F(SerializeTest, CheckpointRejectsSingleFlippedByte) {
                ckpt::CheckpointError);
 }
 
+TEST_F(SerializeTest, CheckpointRefusesOlderFactorTreeKind) {
+  HMatrix h = build_sample(200);
+  core::SolverOptions so;
+  core::FactorTree ft(h, so);
+  const index_t roots[] = {h.tree().root()};
+  ft.factorize_subtree(roots[0], false);
+  ckpt::save_factor_tree(path("v.ckpt"), ft, roots, "test");
+
+  // The same payload in a valid envelope of the previous kind, whose
+  // content checksum was the byte-wise one: refused as an old version,
+  // not as a corrupt file.
+  const std::string payload =
+      ckpt::read_blob(path("v.ckpt"), "fdks.factor_tree.v3");
+  ckpt::write_blob(path("v.ckpt"), "fdks.factor_tree.v2", payload);
+
+  core::FactorTree back(h, so);
+  std::string diag;
+  EXPECT_FALSE(ckpt::try_load_factor_tree(path("v.ckpt"), back, roots,
+                                          "test", &diag));
+  EXPECT_NE(diag.find("kind mismatch"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("fdks.factor_tree.v2"), std::string::npos) << diag;
+  EXPECT_EQ(diag.find("corrupt"), std::string::npos) << diag;
+}
+
 TEST_F(SerializeTest, CheckpointRejectsTruncation) {
   HMatrix h = build_sample(200);
   core::SolverOptions so;

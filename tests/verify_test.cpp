@@ -1,23 +1,31 @@
-// Tests for answer certification and self-healing factor integrity
-// (PR 8): the a posteriori residual check, the refinement/escalation
-// ladder (including the batched refine-only-failing-columns path), the
+// Tests for answer certification and self-healing factor integrity:
+// the block treecode that certification measures through (block vs
+// span vs a dense reference), the a posteriori residual check, the
+// refinement/escalation ladder (including the batched
+// refine-only-failing-columns path and its equivalence with the
+// single-column ladder), the word-wise factor checksum, the
 // FactorCache's lazy checksum verification with refactorize-on-mismatch
 // healing, and the serving engine's certified Ok path. Runs under the
 // `fault` ctest label so the TSan job covers the engine/cache threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <random>
+#include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dist_solver.hpp"
+#include "core/factor_tree.hpp"
 #include "core/solver.hpp"
 #include "core/verify.hpp"
+#include "la/gemm.hpp"
 #include "mpisim/runtime.hpp"
 #include "obs/obs.hpp"
 #include "serve/engine.hpp"
@@ -103,6 +111,140 @@ TEST(VerifyPolicyTest, SamplingPicksEveryKth) {
   EXPECT_FALSE(should_verify(p, 0));
   p.mode = VerifyMode::Always;
   EXPECT_TRUE(should_verify(p, 3));
+}
+
+// ---- Block treecode ----------------------------------------------------
+
+/// Dense T_c^T (|c| x |eff(c)|): node c's telescoped interpolation from
+/// its effective skeleton to its points, built straight from the
+/// projections — independent of the treecode's scatter pass.
+Matrix dense_interp_t(const askit::HMatrix& h, index_t c) {
+  const tree::Node& nd = h.tree().node(c);
+  Matrix below;
+  if (nd.is_leaf()) {
+    below = Matrix::identity(nd.size());
+  } else {
+    const Matrix tl = dense_interp_t(h, nd.left);
+    const Matrix tr = dense_interp_t(h, nd.right);
+    below = Matrix(tl.rows() + tr.rows(), tl.cols() + tr.cols());
+    below.set_block(0, 0, tl);
+    below.set_block(tl.rows(), tl.cols(), tr);
+  }
+  const askit::NodeSkeleton& sk = h.skeleton(c);
+  if (!sk.skeletonized) return below;
+  return la::matmul(la::Trans::No, la::Trans::Yes, below, sk.proj);
+}
+
+/// Dense lambda I + K~ in tree order (target-interpolation form, eq. 6):
+/// exact leaf blocks, T_l^T K(l~eff, X_r) for every sibling pair.
+Matrix dense_operator(const askit::HMatrix& h, double lambda) {
+  const index_t n = h.n();
+  std::vector<index_t> ids(static_cast<size_t>(n));
+  for (index_t i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = i;
+  const auto pts = [&ids](const tree::Node& nd) {
+    return std::span<const index_t>(ids).subspan(
+        static_cast<size_t>(nd.begin), static_cast<size_t>(nd.size()));
+  };
+  Matrix a(n, n);
+  for (index_t id = 0; id < static_cast<index_t>(h.tree().nodes().size());
+       ++id) {
+    const tree::Node& nd = h.tree().node(id);
+    if (nd.is_leaf()) {
+      a.set_block(nd.begin, nd.begin, h.km().block(pts(nd), pts(nd)));
+      continue;
+    }
+    const tree::Node& l = h.tree().node(nd.left);
+    const tree::Node& r = h.tree().node(nd.right);
+    a.set_block(l.begin, r.begin,
+                la::matmul(dense_interp_t(h, nd.left),
+                           h.km().block(h.effective_skeleton(nd.left),
+                                        pts(r))));
+    a.set_block(r.begin, l.begin,
+                la::matmul(dense_interp_t(h, nd.right),
+                           h.km().block(h.effective_skeleton(nd.right),
+                                        pts(l))));
+  }
+  for (index_t i = 0; i < n; ++i) a(i, i) += lambda;
+  return a;
+}
+
+double max_abs(std::span<const double> v) {
+  double m = 0.0;
+  for (const double x : v) m = std::max(m, std::abs(x));
+  return m;
+}
+
+/// A level-restricted HMatrix (unskeletonized nodes above the frontier)
+/// and a one-leaf tree (the root is the only leaf).
+std::vector<askit::HMatrix> treecode_cases() {
+  std::vector<askit::HMatrix> hs;
+  AskitConfig lr = tight_config();
+  lr.level_restriction = 2;
+  hs.emplace_back(clustered_points(3, 384, 17), Kernel::gaussian(1.0), lr);
+  hs.emplace_back(clustered_points(3, 24, 19), Kernel::gaussian(1.0),
+                  tight_config());
+  return hs;
+}
+
+TEST(BlockTreecodeTest, CasesCoverFrontierAndOneLeafTree) {
+  const std::vector<askit::HMatrix> hs = treecode_cases();
+  // Level restriction: the root and its children stay unskeletonized.
+  EXPECT_FALSE(hs[0].is_skeletonized(hs[0].tree().node(0).left));
+  EXPECT_GT(hs[0].stats().skeletonized_nodes, 0);
+  EXPECT_EQ(hs[1].tree().nodes().size(), 1u);
+}
+
+TEST(BlockTreecodeTest, SpanApplyMatchesDenseOperator) {
+  const double lambda = 0.3;
+  for (const askit::HMatrix& h : treecode_cases()) {
+    const index_t n = h.n();
+    const Matrix a = dense_operator(h, lambda);
+    const std::vector<double> w = random_vec(n, 31);
+    std::vector<double> y(static_cast<size_t>(n), 0.0);
+    h.apply(w, y, lambda);
+
+    std::vector<double> wt = h.to_tree_order(w);
+    std::vector<double> yt(static_cast<size_t>(n), 0.0);
+    la::gemv(la::Trans::No, 1.0, a, wt, 0.0, yt);
+    const std::vector<double> ref = h.from_tree_order(yt);
+    double worst = 0.0;
+    for (size_t i = 0; i < ref.size(); ++i)
+      worst = std::max(worst, std::abs(ref[i] - y[i]));
+    EXPECT_LE(worst, 1e-12 * max_abs(ref)) << "n = " << n;
+  }
+}
+
+TEST(BlockTreecodeTest, BlockColumnsMatchSpanApplies) {
+  const double lambda = 0.7;
+  for (const askit::HMatrix& h : treecode_cases()) {
+    const index_t n = h.n();
+    for (const index_t nb : {index_t{1}, index_t{3}, index_t{64}}) {
+      std::mt19937_64 rng(static_cast<uint64_t>(n + nb));
+      const Matrix w = Matrix::random_gaussian(n, nb, rng);
+      Matrix y(n, nb), ys(n, nb);
+      h.apply(w, y, lambda);
+      h.apply_source(w, ys, lambda);
+      const std::vector<double> rel = h.relative_residual(w, y, 0.5);
+      for (index_t j = 0; j < nb; ++j) {
+        const std::span<const double> wj(w.col(j), static_cast<size_t>(n));
+        std::vector<double> yj(static_cast<size_t>(n)), ysj(yj.size());
+        h.apply(wj, yj, lambda);
+        h.apply_source(wj, ysj, lambda);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_NEAR(y(i, j), yj[static_cast<size_t>(i)],
+                      1e-13 * max_abs(yj))
+              << "apply n=" << n << " B=" << nb << " col " << j;
+          ASSERT_NEAR(ys(i, j), ysj[static_cast<size_t>(i)],
+                      1e-13 * max_abs(ysj))
+              << "apply_source n=" << n << " B=" << nb << " col " << j;
+        }
+        const double relj = h.relative_residual(
+            wj, std::span<const double>(y.col(j), static_cast<size_t>(n)),
+            0.5);
+        EXPECT_NEAR(rel[static_cast<size_t>(j)], relj, 1e-13 * relj);
+      }
+    }
+  }
 }
 
 // ---- Certification of a healthy factor -------------------------------
@@ -246,6 +388,95 @@ TEST(CertifyTest, BatchRefinesOnlyTheInjectedBadColumn) {
   EXPECT_GE(outs[2].refine_steps, 1);
 }
 
+// ---- Block ladder ≡ single-column ladder -------------------------------
+
+/// A B = 8 batch whose answers are exact except two columns forced to
+/// fail: column 2 scaled (rung 1 repairs it) and column 5 NaN (straight
+/// to the GMRES rung).
+struct FailingBatch {
+  Matrix b, x;
+};
+
+FailingBatch failing_batch(const FastDirectSolver& s, index_t n) {
+  std::mt19937_64 rng(23);
+  FailingBatch fb{Matrix::random_gaussian(n, 8, rng), Matrix()};
+  fb.x = s.solve(fb.b);
+  for (index_t i = 0; i < n; ++i) {
+    fb.x(i, 2) *= 1.5;
+    fb.x(i, 5) = std::nan("");
+  }
+  return fb;
+}
+
+TEST(CertifyTest, BlockLadderMatchesSingleColumnLadder) {
+  const index_t n = 384;
+  Matrix pts = clustered_points(3, n, 11);
+  askit::HMatrix h(pts, Kernel::gaussian(1.0), tight_config());
+  SolverOptions so;
+  so.lambda = 1.0;
+  FastDirectSolver s(h, so);
+  VerifyPolicy p;
+  p.mode = VerifyMode::Always;
+  p.target_residual = 1e-10;
+
+  FailingBatch fb = failing_batch(s, n);
+  Matrix xb = fb.x;
+  const std::vector<VerifyOutcome> block =
+      certify_and_refine_block(s, fb.b, xb, p);
+  ASSERT_EQ(block.size(), 8u);
+  for (index_t j = 0; j < 8; ++j) {
+    std::vector<double> xj(fb.x.col(j), fb.x.col(j) + n);
+    const VerifyOutcome one = certify_and_refine(
+        s, std::span<const double>(fb.b.col(j), static_cast<size_t>(n)), xj,
+        p);
+    const VerifyOutcome& blk = block[static_cast<size_t>(j)];
+    EXPECT_EQ(blk.certified, one.certified) << "column " << j;
+    EXPECT_EQ(blk.refine_steps, one.refine_steps) << "column " << j;
+    EXPECT_EQ(blk.escalations, one.escalations) << "column " << j;
+    EXPECT_NEAR(blk.residual, one.residual, 1e-13) << "column " << j;
+  }
+  EXPECT_EQ(block[2].refine_steps, 1);
+  EXPECT_EQ(block[5].escalations, 1);
+  for (const VerifyOutcome& o : block) EXPECT_TRUE(o.certified);
+}
+
+TEST(CertifyTest, BlockRungZeroCostsOneSpanApply) {
+  const index_t n = 384;
+  Matrix pts = clustered_points(3, n, 11);
+  askit::HMatrix h(pts, Kernel::gaussian(1.0), tight_config());
+  SolverOptions so;
+  so.lambda = 1.0;
+  FastDirectSolver s(h, so);
+  VerifyPolicy p;
+  p.mode = VerifyMode::Always;
+  p.target_residual = 1e-10;
+  p.max_refine_steps = 0;  // Rung 0 only: measure, then stop.
+  p.escalate = false;
+
+  ObsOn obs_on;
+  const std::vector<double> w = random_vec(n, 41);
+  std::vector<double> y(static_cast<size_t>(n));
+  const obs::Snapshot a0 = obs::snapshot();
+  h.apply(w, y, so.lambda);
+  const obs::Snapshot a1 = obs::snapshot();
+
+  FailingBatch fb = failing_batch(s, n);
+  const obs::Snapshot b0 = obs::snapshot();
+  const std::vector<VerifyOutcome> outs =
+      certify_and_refine_block(s, fb.b, fb.x, p);
+  const obs::Snapshot b1 = obs::snapshot();
+
+  for (const char* key : {"gsks.calls", "gsks.kernel_evals"}) {
+    const double span_apply = counter(a1, key) - counter(a0, key);
+    EXPECT_GT(span_apply, 0.0) << key;
+    EXPECT_EQ(counter(b1, key) - counter(b0, key), span_apply) << key;
+  }
+  EXPECT_EQ(counter(b1, "verify.checks") - counter(b0, "verify.checks"), 8.0);
+  EXPECT_EQ(counter(b1, "verify.fail") - counter(b0, "verify.fail"), 2.0);
+  EXPECT_FALSE(outs[2].certified);
+  EXPECT_FALSE(outs[5].certified);
+}
+
 // ---- Factor integrity: seal, corrupt, detect --------------------------
 
 TEST(IntegrityTest, CorruptionFlipsVerifyIntegrity) {
@@ -269,6 +500,114 @@ TEST(IntegrityTest, CorruptionFlipsVerifyIntegrity) {
   // Refactorizing reseals: integrity holds again.
   s.refactorize(so.lambda);
   EXPECT_TRUE(s.verify_integrity());
+}
+
+/// Every payload array the content checksum covers, of one node factor,
+/// as mutable byte ranges of a copy.
+std::vector<std::pair<std::string, std::span<unsigned char>>> payload_arrays(
+    NodeFactor& f, Matrix& v_lr, Matrix& v_rl) {
+  std::vector<std::pair<std::string, std::span<unsigned char>>> out;
+  const auto add = [&out](const char* name, void* p, size_t bytes) {
+    if (bytes > 0)
+      out.emplace_back(name,
+                       std::span<unsigned char>(
+                           static_cast<unsigned char*>(p), bytes));
+  };
+  const auto add_m = [&add](const char* name, Matrix& m) {
+    add(name, m.data(), static_cast<size_t>(m.size()) * sizeof(double));
+  };
+  add("diag_shift", &f.diag_shift, sizeof f.diag_shift);
+  add_m("leaf_lu.lu", f.leaf_lu.lu);
+  add("leaf_lu.piv", f.leaf_lu.piv.data(),
+      f.leaf_lu.piv.size() * sizeof(index_t));
+  add_m("leaf_chol.l", f.leaf_chol.l);
+  add_m("v_lr", v_lr);
+  add_m("v_rl", v_rl);
+  add_m("z_lu.lu", f.z_lu.lu);
+  add("z_lu.piv", f.z_lu.piv.data(), f.z_lu.piv.size() * sizeof(index_t));
+  add_m("phat", f.phat);
+  add_m("tmat", f.tmat);
+  return out;
+}
+
+/// Rebuilds a V operator around a (possibly corrupted) stored block.
+kernel::KernelBlockOp with_block(const kernel::KernelBlockOp& v,
+                                 const kernel::KernelMatrix* km, Matrix m) {
+  return kernel::KernelBlockOp(km, v.row_ids(), v.col_ids(), v.scheme(),
+                               std::move(m));
+}
+
+TEST(IntegrityTest, OneBitFlipInAnyPayloadArrayIsDetected) {
+  const index_t n = 256;
+  Matrix pts = clustered_points(3, n, 13);
+  askit::HMatrix h(pts, Kernel::gaussian(1.0), tight_config());
+  // Dense P^ with LU leaves, and compact-W with Cholesky leaves: between
+  // them every payload array is populated.
+  SolverOptions dense;
+  dense.lambda = 1.0;
+  SolverOptions compact = dense;
+  compact.compact_w = true;
+  compact.spd_leaves = true;
+  std::set<std::string> seen;
+  for (const SolverOptions& so : {dense, compact}) {
+    FactorTree ft(h, so);
+    ft.factorize_subtree(h.tree().root(), /*compute_phat=*/false);
+    const std::uint64_t sealed = ft.content_checksum();
+    for (index_t id = 0; id < static_cast<index_t>(h.tree().nodes().size());
+         ++id) {
+      const NodeFactor orig = ft.factor(id);
+      if (!orig.factored) continue;
+      NodeFactor probe = orig;
+      Matrix v_lr = orig.v_lr.stored_block(), v_rl = orig.v_rl.stored_block();
+      for (auto& [name, bytes] : payload_arrays(probe, v_lr, v_rl)) {
+        const size_t words = (bytes.size() + 7) / 8;
+        for (const size_t w : {size_t{0}, words / 2, words - 1}) {
+          const size_t at = std::min(bytes.size() - 1, 8 * w + w % 8);
+          const auto mask = static_cast<unsigned char>(1u << (w % 8));
+          bytes[at] ^= mask;
+          NodeFactor bad = probe;
+          if (v_lr.size() > 0) bad.v_lr = with_block(orig.v_lr, &h.km(), v_lr);
+          if (v_rl.size() > 0) bad.v_rl = with_block(orig.v_rl, &h.km(), v_rl);
+          ft.adopt_factor(id, std::move(bad));
+          EXPECT_NE(ft.content_checksum(), sealed)
+              << name << " of node " << id << ", byte " << at;
+          bytes[at] ^= mask;
+          ft.adopt_factor(id, orig);
+        }
+        seen.insert(name);
+      }
+      ASSERT_EQ(ft.content_checksum(), sealed);
+    }
+  }
+  // diag_shift is a payload "array" too (one word per node).
+  EXPECT_EQ(seen.size(), 10u);
+
+  // Through the solver: a flip at sampled positions of every double
+  // array the fault hook reaches fails verify_integrity, and flipping
+  // the same bit back restores it.
+  FastDirectSolver s(h, dense);
+  std::uint64_t offset = 0;
+  std::vector<std::uint64_t> seeds;
+  for (index_t id = 0; id < static_cast<index_t>(h.tree().nodes().size());
+       ++id) {
+    const NodeFactor& f = s.factor_tree().factor(id);
+    if (!f.factored) continue;
+    for (const Matrix* m :
+         {&f.leaf_lu.lu, &f.leaf_chol.l, &f.z_lu.lu, &f.phat, &f.tmat}) {
+      const auto size = static_cast<std::uint64_t>(m->size());
+      if (size == 0) continue;
+      for (const std::uint64_t at : {std::uint64_t{0}, size / 2, size - 1})
+        seeds.push_back(offset + at);
+      offset += size;
+    }
+  }
+  ASSERT_FALSE(seeds.empty());
+  for (const std::uint64_t seed : seeds) {
+    ASSERT_TRUE(s.corrupt_factor_bit(seed));
+    EXPECT_FALSE(s.verify_integrity()) << "seed " << seed;
+    ASSERT_TRUE(s.corrupt_factor_bit(seed));  // Same bit back.
+    ASSERT_TRUE(s.verify_integrity()) << "seed " << seed;
+  }
 }
 
 // ---- Distributed certification (collective ladder) --------------------
