@@ -404,10 +404,9 @@ int run_solve(const Args& a) {
     ho.direct.compact_w = a.compact_w;
     ho.direct.scheme = a.scheme;
     ho.direct.checkpoint_dir = a.checkpoint_dir;
-    // --verify: the guarded solve measures the true residual and walks
-    // the refinement/escalation ladder against this target.
-    if (a.verify && ho.escalate_residual_tol <= 0.0)
-      ho.escalate_residual_tol = 1e-6;
+    // --verify: the guarded solve certifies the answer through the
+    // shared refinement/escalation ladder (default target 1e-6).
+    if (a.verify) ho.direct.verify.mode = core::VerifyMode::Always;
     core::HybridSolver solver(h, ho);
     if (ck) ckpt::mark_stage(a.checkpoint_dir, "factorize");
     warn_if_degraded(solver.factor_status());

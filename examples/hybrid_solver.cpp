@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
     core::HybridOptions ho;
     ho.direct.lambda = lambda;
     ho.gmres.rtol = 1e-10;
-    ho.escalate_residual_tol = 1e-6;  // Guardrail: auto-escalate if missed.
+    // Guardrail: certify the answer (target 1e-6) and escalate if missed.
+    ho.direct.verify.mode = core::VerifyMode::Always;
     core::HybridSolver hy(h, ho);
     const double tf = now_minus(t0);
     std::vector<double> x(static_cast<size_t>(n));

@@ -26,20 +26,22 @@ class DistributedHybridSolver {
   DistributedHybridSolver(const HMatrix& h, HybridOptions opts,
                           mpisim::Comm comm);
 
-  /// Collective solve; u identical on all ranks (original order);
-  /// returns the full solution on every rank. When
-  /// HybridOptions::direct.verify is enabled, the certification /
-  /// refinement ladder (core/verify.hpp) runs collectively afterwards:
-  /// u and x are replicated, so every rank reaches the identical
-  /// per-step decision and each correction pass stays a collective
-  /// Algorithm II.6 solve.
-  std::vector<double> solve(std::span<const double> u);
+  /// Collective solve of (lambda I + K~) X = U for the B columns of U
+  /// (identical on all ranks, original order); writes the full solution
+  /// on every rank. Local D^-1 runs as in-place block subtree solves, V
+  /// as fused block kernel sweeps with one allreduce per [S x B] panel,
+  /// W as batched P^ GEMMs; the replicated reduced-system GMRES (step 3)
+  /// runs per column, and last_gmres() reflects the final one. U and X
+  /// must both be N x B (std::invalid_argument otherwise, before any
+  /// data is touched). When HybridOptions::direct.verify is enabled, the
+  /// certification ladder (core/verify.hpp) runs collectively afterwards:
+  /// U and X are replicated, so every rank reaches the identical
+  /// per-column decision and each correction pass stays a collective
+  /// Algorithm II.6 solve. last_status() reports the outcome.
+  void solve(la::ConstMatrixView u, la::MatrixView x);
 
-  /// Collective block solve for B right-hand sides (columns identical
-  /// on all ranks). Local D^-1 runs as in-place block subtree solves,
-  /// V as fused block kernel sweeps with one allreduce per [S x B]
-  /// panel, W as batched P^ GEMMs; the replicated reduced-system GMRES
-  /// (step 3) stays per column. last_gmres() reflects the final column.
+  // B = 1 and owning views of the block solve.
+  std::vector<double> solve(std::span<const double> u);
   Matrix solve(const Matrix& u);
 
   index_t reduced_size() const { return reduced_size_; }
@@ -57,16 +59,11 @@ class DistributedHybridSolver {
  private:
   /// One Algorithm II.6-II.8 pass (local D^-1 + replicated reduced
   /// GMRES + correction), without status/verification bookkeeping.
-  /// Updates last_ with the reduced-system GMRES result.
-  std::vector<double> solve_impl(std::span<const double> u);
-  Matrix solve_impl(const Matrix& u);
+  /// Updates last_, reduced_code_ and gmres_iterations_.
+  void solve_impl(la::ConstMatrixView u, la::MatrixView x);
 
-  /// z = V q with q the rank-local slice (permuted order); collective.
-  void matvec_v_local(std::span<const double> q_local,
-                      std::span<double> z) const;
-  /// q_local = W z restricted to this rank's points.
-  void matvec_w_local(std::span<const double> z,
-                      std::span<double> q_local) const;
+  /// Z = V Q with Q the rank-local rows (permuted order); collective.
+  void matvec_v_local(la::ConstMatrixView q_local, la::MatrixView z) const;
 
   const HMatrix* h_;
   HybridOptions opts_;
@@ -74,14 +71,13 @@ class DistributedHybridSolver {
   mpisim::Comm comm_;
   index_t local_root_ = -1;
   index_t local_begin_ = 0, local_end_ = 0;
-  std::vector<index_t> frontier_;        ///< Global frontier, all ranks.
-  std::vector<index_t> offsets_;         ///< Block offsets into S.
-  std::vector<size_t> local_frontier_;   ///< Indices into frontier_ owned
-                                         ///< by this rank.
+  std::vector<index_t> offsets_;    ///< frontier_offsets(h).
+  std::vector<index_t> local_pts_;  ///< local_begin_..local_end_-1.
   index_t reduced_size_ = 0;
   double factor_seconds_ = 0.0;
   iter::GmresResult last_;
-  index_t block_gmres_iters_ = 0;  ///< Column sum, last Matrix solve_impl.
+  SolveCode reduced_code_ = SolveCode::Ok;  ///< Worst column, last pass.
+  int gmres_iterations_ = 0;                ///< Column sum, last pass.
   FactorStatus factor_status_;
   SolveStatus last_status_;
   std::uint64_t verify_seq_ = 0;  ///< Sampling counter (replicated).

@@ -264,161 +264,37 @@ void DistributedSolver::factorize() {
   factor_status_ = allreduce_factor_status(ft_.factor_status(), comm_);
 }
 
-std::vector<double> DistributedSolver::solve_impl(std::span<const double> u) {
-  obs::ScopedTimer t_dist("dist.solve");
-
-  // Local slice in tree order.
-  const std::vector<double> ut = h_->to_tree_order(u);
-  std::vector<double> w(ut.begin() + local_begin_, ut.begin() + local_end_);
-
-  // Local solve (Algorithm II.3 on the owned subtree).
-  {
-    obs::ScopedTimer t_local("local_solve");
-    ft_.solve_subtree(local_root_, w);
-  }
-
-  // Distributed corrections, bottom-up (Algorithm II.5).
-  std::vector<index_t> local_pts(static_cast<size_t>(local_end_ -
-                                                     local_begin_));
-  std::iota(local_pts.begin(), local_pts.end(), local_begin_);
-
-  for (int li = logp_ - 1; li >= 0; --li) {
-    obs::ScopedTimer t_level("dist.level");
-    const DistLevel& dl = dist_[static_cast<size_t>(li)];
-    const int q = dl.comm.size();
-    const bool root_of_half = dl.half_comm.rank() == 0;
-
-    // t_sib = K(sibling~, {x}_i) w_i, reduced over my half: the left
-    // half produces t_r~ = K(r~, X_l) w_l and vice versa.
-    std::vector<double> tpart(dl.sib_skel.size(), 0.0);
-    kernel::gsks_apply(h_->km(), dl.sib_skel, local_pts, w, tpart);
-    dl.half_comm.reduce_sum(tpart, 0);
-
-    // Assemble [t_l~; t_r~] on comm rank 0, solve with Z, and return the
-    // halves: z_l~ broadcast in the left half, z_r~ in the right half.
-    std::vector<double> zmine;
-    if (dl.comm.rank() == 0) {
-      std::vector<double> t_r = tpart;  // Left half reduced t_r~ here.
-      std::vector<double> t_l = dl.comm.recv(q / 2, kTagTl);
-      std::vector<double> rhs;
-      rhs.reserve(t_l.size() + t_r.size());
-      rhs.insert(rhs.end(), t_l.begin(), t_l.end());
-      rhs.insert(rhs.end(), t_r.begin(), t_r.end());
-      la::lu_solve(dl.z_lu, rhs);
-      std::vector<double> z_l(rhs.begin(), rhs.begin() + dl.s_l);
-      std::vector<double> z_r(rhs.begin() + dl.s_l, rhs.end());
-      dl.comm.send(q / 2, kTagZr, z_r);
-      zmine = std::move(z_l);
-    } else if (root_of_half && !dl.is_left) {
-      dl.comm.send(0, kTagTl, tpart);
-      zmine = dl.comm.recv(0, kTagZr);
-    }
-    dl.half_comm.bcast(zmine, 0);
-
-    // w_i -= (local rows of P^_child) z_child~.
-    la::gemv(la::Trans::No, -1.0, dl.phat_child_local, zmine, 1.0, w);
-  }
-
-  // Assemble the full solution on every rank: ranks are ordered by
-  // point range, so a rank-ordered allgather is the tree-order vector.
-  std::vector<double> full_tree = comm_.allgatherv(w);
-  return h_->from_tree_order(full_tree);
-}
-
-std::vector<double> DistributedSolver::solve(std::span<const double> u) {
-  if (static_cast<index_t>(u.size()) != h_->n())
-    throw std::invalid_argument("DistributedSolver::solve: size mismatch");
-
-  std::vector<double> x = solve_impl(u);
-
-  // Guardrail summary. No extra collectives: u is replicated, the full
-  // solution was just allgathered, and factor_status_ was agreed during
-  // factorization — every rank derives the identical status.
-  SolveStatus st;
-  st.lambda_effective = factor_status_.lambda_effective;
-  st.shifted_nodes = factor_status_.shifted_nodes;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
-  } else if (!all_finite(std::span<const double>(x.data(), x.size()))) {
-    st.code = SolveCode::NonFinite;
-    st.detail = factor_status_.code == FactorCode::NonFinite
-                    ? "solution contains NaN/Inf (factorization was "
-                      "already non-finite)"
-                    : "solution contains NaN/Inf";
-  } else {
-    st.residual = h_->relative_residual(x, u, ft_.options().lambda);
-    if (factor_status_.code == FactorCode::ShiftedDiagonal)
-      st.code = SolveCode::ShiftedDiagonal;
-  }
-
-  // Certification ladder (collective): u and x are replicated, so every
-  // rank takes the identical refine/escalate decisions and the
-  // correction solves below stay collective Algorithm II.5 passes. Only
-  // rank 0 emits the verify.*/refine.* keys (one count per event).
-  const VerifyPolicy& vp = ft_.options().verify;
-  const bool insample = vp.enabled() && should_verify(vp, verify_seq_++);
-  if (insample && st.code != SolveCode::NonFinite) {
-    VerifyOps ops;
-    ops.emit_obs = comm_.rank() == 0;
-    ops.apply = certification_operator(*h_, vp.op, ft_.options().lambda);
-    ops.solve = [this](std::span<const double> in, std::span<double> y) {
-      const std::vector<double> q = solve_impl(in);
-      std::copy(q.begin(), q.end(), y.begin());
-    };
-    const VerifyOutcome vo = certify_and_refine_ops(ops, u, x, vp);
-    st.residual = vo.residual;
-    st.escalations += vo.escalations;
-    if (!vo.certified) {
-      st.code = SolveCode::NotConverged;
-      st.detail = "certified residual misses the verify target after the "
-                  "escalation ladder";
-    } else if (vo.escalations > 0) {
-      st.code = SolveCode::Escalated;
-    }
-  }
-  last_status_ = st;
-  return x;
-}
-
-Matrix gather_tree_order_block(const HMatrix& h, int p,
-                               std::span<const double> gathered,
-                               index_t nrhs) {
+void allgather_solution(const HMatrix& h, const mpisim::Comm& comm,
+                        const Matrix& w, la::MatrixView x) {
+  // Ranks own contiguous point ranges, ordered by range: reassemble the
+  // rank-ordered allgather (per-rank flattened column-major blocks)
+  // into tree order, then undo the permutation.
   const auto& t = h.tree();
   int logp = 0;
-  while ((1 << logp) < p) ++logp;
+  while ((1 << logp) < comm.size()) ++logp;
   std::vector<index_t> owners = t.levels()[static_cast<size_t>(logp)];
   std::sort(owners.begin(), owners.end(), [&](index_t a, index_t b) {
     return t.node(a).begin < t.node(b).begin;
   });
-  Matrix full(h.n(), nrhs);
-  size_t off = 0;
+  const std::vector<double> gathered =
+      comm.allgatherv(std::vector<double>(w.data(), w.data() + w.size()));
+  const double* src = gathered.data();
   for (index_t node : owners) {
     const tree::Node& nd = t.node(node);
-    const index_t nr = nd.size();
-    for (index_t j = 0; j < nrhs; ++j)
-      std::copy(gathered.begin() + static_cast<std::ptrdiff_t>(off) + j * nr,
-                gathered.begin() + static_cast<std::ptrdiff_t>(off) +
-                    (j + 1) * nr,
-                full.col(j) + nd.begin);
-    off += static_cast<size_t>(nr) * static_cast<size_t>(nrhs);
+    for (index_t j = 0; j < x.cols(); ++j, src += nd.size())
+      std::copy(src, src + nd.size(), x.col(j) + nd.begin);
   }
-  return full;
+  from_tree_order(h, x);
 }
 
-Matrix DistributedSolver::solve_impl(const Matrix& u) {
-  const index_t n = h_->n();
+void DistributedSolver::solve_impl(la::ConstMatrixView u, la::MatrixView x) {
   obs::ScopedTimer t_dist("dist.solve");
   const index_t nrhs = u.cols();
   const index_t nloc = local_end_ - local_begin_;
 
   // Local slice of every column, in tree order.
   Matrix w(nloc, nrhs);
-  for (index_t j = 0; j < nrhs; ++j) {
-    const std::vector<double> ut = h_->to_tree_order(
-        std::span<const double>(u.col(j), static_cast<size_t>(n)));
-    std::copy(ut.begin() + local_begin_, ut.begin() + local_end_, w.col(j));
-  }
+  to_tree_order(*h_, u, local_begin_, w);
 
   // Local block solve (Algorithm II.3 on the owned subtree, in place).
   {
@@ -439,16 +315,16 @@ Matrix DistributedSolver::solve_impl(const Matrix& u) {
     const index_t s_sib = static_cast<index_t>(dl.sib_skel.size());
 
     // T_sib = K(sibling~, {x}_i) W_i, fused over the block, reduced
-    // over my half (flattened column-major: ld == rows for Matrix).
+    // over my half (flattened column-major: ld == rows for Matrix): the
+    // left half produces T_r~ = K(r~, X_l) W_l and vice versa.
     Matrix tpart(s_sib, nrhs);
-    kernel::gsks_apply_block(h_->km(), dl.sib_skel, local_pts,
-                             la::ConstMatrixView(w), la::MatrixView(tpart),
-                             1.0);
+    kernel::gsks_apply_block(h_->km(), dl.sib_skel, local_pts, w, tpart, 1.0);
     std::vector<double> tflat(tpart.data(), tpart.data() + tpart.size());
     dl.half_comm.reduce_sum(tflat, 0);
 
-    // Assemble [T_l~; T_r~] on comm rank 0, block-solve with Z, ship
-    // the halves back.
+    // Assemble [T_l~; T_r~] on comm rank 0, block-solve with Z, and
+    // return the halves: Z_l~ broadcast in the left half, Z_r~ in the
+    // right half.
     std::vector<double> zflat;
     if (dl.comm.rank() == 0) {
       const std::vector<double> t_l = dl.comm.recv(q / 2, kTagTl);
@@ -480,87 +356,41 @@ Matrix DistributedSolver::solve_impl(const Matrix& u) {
     // the whole batch.
     const index_t smine = static_cast<index_t>(dl.own_skel.size());
     la::gemm(-1.0, la::ConstMatrixView(dl.phat_child_local),
-             la::ConstMatrixView(zflat.data(), smine, nrhs, smine), 1.0,
-             la::MatrixView(w));
+             la::ConstMatrixView(zflat.data(), smine, nrhs, smine), 1.0, w);
   }
 
-  // Assemble the full solution on every rank and undo the permutation.
-  const std::vector<double> wflat(w.data(), w.data() + w.size());
-  const std::vector<double> gathered = comm_.allgatherv(wflat);
-  Matrix x = gather_tree_order_block(*h_, comm_.size(), gathered, nrhs);
-  for (index_t j = 0; j < nrhs; ++j) {
-    const std::vector<double> xo = h_->from_tree_order(
-        std::span<const double>(x.col(j), static_cast<size_t>(n)));
-    std::copy(xo.begin(), xo.end(), x.col(j));
-  }
+  allgather_solution(*h_, comm_, w, x);
+}
+
+void DistributedSolver::solve(la::ConstMatrixView u, la::MatrixView x) {
+  check_solve_shapes(h_->n(), u, x, "DistributedSolver::solve");
+  solve_impl(u, x);
+  // Status and the collective certification ladder: u and x are
+  // replicated and factor_status_ was agreed during factorization, so
+  // every rank takes the identical refine/escalate decisions and the
+  // correction solves stay collective Algorithm II.5 passes. Only rank 0
+  // emits the verify.*/refine.* keys (one count per event).
+  const VerifyPolicy& vp = ft_.options().verify;
+  VerifyOps ops;
+  ops.emit_obs = comm_.rank() == 0;
+  ops.apply = certification_operator(*h_, vp.op, ft_.options().lambda);
+  ops.solve = [this](la::ConstMatrixView in, la::MatrixView y) {
+    solve_impl(in, y);
+  };
+  last_status_ =
+      finish_solve(ops, vp, vp.enabled() && should_verify(vp, verify_seq_++),
+                   factor_status_, SolveCode::Ok, 0, u, x);
+}
+
+std::vector<double> DistributedSolver::solve(std::span<const double> u) {
+  std::vector<double> x(u.size());
+  solve(la::column_view(u), la::column_view(std::span<double>(x)));
   return x;
 }
 
 Matrix DistributedSolver::solve(const Matrix& u) {
-  const index_t n = h_->n();
-  if (u.rows() != n)
-    throw std::invalid_argument(
-        "DistributedSolver::solve: block shape mismatch");
-  const index_t nrhs = u.cols();
-  Matrix x = solve_impl(u);
-
-  // Guardrail summary over the whole batch: worst column wins.
-  SolveStatus st;
-  st.lambda_effective = factor_status_.lambda_effective;
-  st.shifted_nodes = factor_status_.shifted_nodes;
-  st.residual = 0.0;
-  for (index_t j = 0; j < nrhs && st.code == SolveCode::Ok; ++j) {
-    const std::span<const double> uc(u.col(j), static_cast<size_t>(n));
-    const std::span<const double> xc(x.col(j), static_cast<size_t>(n));
-    if (!all_finite(uc)) {
-      st.code = SolveCode::NonFinite;
-      st.detail = "right-hand side contains NaN/Inf";
-    } else if (!all_finite(xc)) {
-      st.code = SolveCode::NonFinite;
-      st.detail = "solution contains NaN/Inf";
-    }
-  }
-  if (st.code == SolveCode::Ok)
-    for (const double r : h_->relative_residual(x, u, ft_.options().lambda))
-      st.residual = std::max(st.residual, r);
-  if (st.code == SolveCode::Ok &&
-      factor_status_.code == FactorCode::ShiftedDiagonal)
-    st.code = SolveCode::ShiftedDiagonal;
-
-  // Collective certification ladder over the batch: only failing
-  // columns are refined (one narrow blocked Algorithm II.5 correction
-  // per step), per replicated per-column decisions on every rank.
-  const VerifyPolicy& vp = ft_.options().verify;
-  const bool insample = vp.enabled() && should_verify(vp, verify_seq_++);
-  if (insample && st.code != SolveCode::NonFinite) {
-    VerifyOps ops;
-    ops.emit_obs = comm_.rank() == 0;
-    ops.apply = certification_operator(*h_, vp.op, ft_.options().lambda);
-    ops.solve = [this](std::span<const double> in, std::span<double> y) {
-      const std::vector<double> q = solve_impl(in);
-      std::copy(q.begin(), q.end(), y.begin());
-    };
-    ops.solve_block = [this](const Matrix& rhs) { return solve_impl(rhs); };
-    const std::vector<VerifyOutcome> vos =
-        certify_and_refine_block_ops(ops, u, x, vp);
-    st.residual = 0.0;
-    bool uncertified = false;
-    int escalations = 0;
-    for (const VerifyOutcome& vo : vos) {
-      st.residual = std::max(st.residual, vo.residual);
-      uncertified = uncertified || !vo.certified;
-      escalations += vo.escalations;
-    }
-    st.escalations += escalations;
-    if (uncertified) {
-      st.code = SolveCode::NotConverged;
-      st.detail = "certified residual misses the verify target after the "
-                  "escalation ladder";
-    } else if (escalations > 0) {
-      st.code = SolveCode::Escalated;
-    }
-  }
-  last_status_ = st;
+  Matrix x(u.rows(), u.cols());
+  solve(u, x);
   return x;
 }
 

@@ -33,21 +33,22 @@ class DistributedSolver {
   /// complete level log2(p).
   DistributedSolver(const HMatrix& h, SolverOptions opts, mpisim::Comm comm);
 
-  /// Collective solve of (lambda I + K~) x = u. u must be identical on
-  /// all ranks (original point order); returns the full solution on
-  /// every rank. When SolverOptions::verify is enabled, the certified
-  /// residual is checked afterwards and the refinement/escalation
-  /// ladder (core/verify.hpp) runs collectively: u and x are replicated,
-  /// so every rank reaches the identical per-step decision and the
-  /// correction solves remain collective Algorithm II.5 passes.
-  std::vector<double> solve(std::span<const double> u);
+  /// Collective solve of (lambda I + K~) X = U for the B columns of U
+  /// (original point order, identical on all ranks); writes the full
+  /// solution on every rank. One batched pass of Algorithm II.5: local
+  /// block subtree solves, per-level corrections as fused block kernel
+  /// sweeps and batched P^ GEMMs, and level messages carrying [s x B]
+  /// panels — a B = 1 solve sends exactly the messages of one vector
+  /// solve. U and X must both be N x B (std::invalid_argument otherwise,
+  /// before any data is touched). When SolverOptions::verify is enabled,
+  /// the certification ladder (core/verify.hpp) runs collectively
+  /// afterwards: U and X are replicated, so every rank reaches the
+  /// identical per-column decision and the correction solves remain
+  /// collective Algorithm II.5 passes. last_status() reports the outcome.
+  void solve(la::ConstMatrixView u, la::MatrixView x);
 
-  /// Collective block solve for B right-hand sides (columns of u,
-  /// identical on all ranks). One batched pass of Algorithm II.5:
-  /// local block subtree solves, per-level corrections as fused block
-  /// kernel sweeps and batched P^ GEMMs, and level messages carrying
-  /// [s x B] panels instead of B separate vectors — B-fold fewer
-  /// messages and factor sweeps than B scalar solves.
+  // B = 1 and owning views of the block solve.
+  std::vector<double> solve(std::span<const double> u);
   Matrix solve(const Matrix& u);
 
   index_t local_root() const { return local_root_; }
@@ -81,8 +82,7 @@ class DistributedSolver {
   void factorize();
   /// One Algorithm II.5 pass (local subtree solve + per-level
   /// corrections + allgather), without status/verification bookkeeping.
-  std::vector<double> solve_impl(std::span<const double> u);
-  Matrix solve_impl(const Matrix& u);
+  void solve_impl(la::ConstMatrixView u, la::MatrixView x);
 
   const HMatrix* h_;
   FactorTree ft_;
@@ -104,12 +104,10 @@ class DistributedSolver {
 FactorStatus allreduce_factor_status(const FactorStatus& local,
                                      const mpisim::Comm& comm);
 
-/// Reassemble a full tree-order [n x B] block from an allgatherv of
-/// per-rank flattened column-major local blocks (rank r contributes its
-/// level-log2(p) node's rows). Shared by both distributed solvers'
-/// block solves.
-Matrix gather_tree_order_block(const HMatrix& h, int p,
-                               std::span<const double> gathered,
-                               index_t nrhs);
+/// Allgather every rank's tree-order local rows W (its level-log2(p)
+/// node's points) into X, the full N x B solution in original point
+/// order. Collective over comm; shared by both distributed solvers.
+void allgather_solution(const HMatrix& h, const mpisim::Comm& comm,
+                        const Matrix& w, la::MatrixView x);
 
 }  // namespace fdks::core

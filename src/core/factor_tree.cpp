@@ -46,6 +46,37 @@ bool leaf_near_singular(const NodeFactor& f, double threshold) {
   return f.leaf_lu.singular || leaf_pivot_ratio(f) < threshold;
 }
 
+void check_solve_shapes(index_t n, la::ConstMatrixView u,
+                        la::ConstMatrixView x, const char* who) {
+  if (u.rows() != n || x.rows() != n || u.cols() != x.cols())
+    throw std::invalid_argument(
+        std::string(who) + ": expected " + std::to_string(n) +
+        " x B right-hand side and solution, got " + std::to_string(u.rows()) +
+        " x " + std::to_string(u.cols()) + " and " +
+        std::to_string(x.rows()) + " x " + std::to_string(x.cols()));
+}
+
+void to_tree_order(const HMatrix& h, la::ConstMatrixView u, index_t begin,
+                   la::MatrixView w) {
+  const auto& perm = h.tree().perm();
+  std::vector<double> col(static_cast<size_t>(u.rows()));
+  for (index_t j = 0; j < w.cols(); ++j) {
+    std::copy(u.col(j), u.col(j) + u.rows(), col.begin());
+    for (index_t i = 0; i < w.rows(); ++i)
+      w(i, j) = col[static_cast<size_t>(perm[static_cast<size_t>(begin + i)])];
+  }
+}
+
+void from_tree_order(const HMatrix& h, la::MatrixView x) {
+  const auto& perm = h.tree().perm();
+  std::vector<double> col(static_cast<size_t>(x.rows()));
+  for (index_t j = 0; j < x.cols(); ++j) {
+    std::copy(x.col(j), x.col(j) + x.rows(), col.begin());
+    for (index_t p = 0; p < x.rows(); ++p)
+      x(perm[static_cast<size_t>(p)], j) = col[static_cast<size_t>(p)];
+  }
+}
+
 FactorTree::FactorTree(const HMatrix& h, SolverOptions opts)
     : h_(&h), opts_(opts) {
   nf_.resize(h.tree().nodes().size());
@@ -81,29 +112,6 @@ Matrix FactorTree::expand_projection(index_t id) const {
   return e;
 }
 
-void FactorTree::apply_phat(index_t id, std::span<const double> z,
-                            std::span<double> y, double alpha) const {
-  const NodeFactor& f = nf_[static_cast<size_t>(id)];
-  const tree::Node& nd = h_->tree().node(id);
-  if (f.phat.size() > 0) {  // Dense factor stored (leaf or non-compact).
-    la::gemv(la::Trans::No, alpha, f.phat, z, 1.0, y);
-    return;
-  }
-  if (nd.is_leaf())
-    throw std::logic_error("apply_phat: leaf without a dense factor");
-  // Compact mode: z2 = T z, then descend into the children's W rows.
-  std::vector<double> z2(static_cast<size_t>(f.tmat.rows()), 0.0);
-  la::gemv(la::Trans::No, 1.0, f.tmat, z, 0.0, z2);
-  const index_t sl = static_cast<index_t>(
-      h_->effective_skeleton(nd.left).size());
-  const index_t nl = h_->tree().node(nd.left).size();
-  apply_phat(nd.left, std::span<const double>(z2.data(), sl),
-             y.subspan(0, static_cast<size_t>(nl)), alpha);
-  apply_phat(nd.right,
-             std::span<const double>(z2.data() + sl, z2.size() - sl),
-             y.subspan(static_cast<size_t>(nl)), alpha);
-}
-
 void FactorTree::apply_phat(index_t id, la::ConstMatrixView z,
                             la::MatrixView y, double alpha) const {
   const NodeFactor& f = nf_[static_cast<size_t>(id)];
@@ -131,16 +139,9 @@ void FactorTree::apply_phat(index_t id, la::ConstMatrixView z,
 Matrix FactorTree::dense_phat(index_t id) const {
   const NodeFactor& f = nf_[static_cast<size_t>(id)];
   if (f.phat.size() > 0) return f.phat;
-  const tree::Node& nd = h_->tree().node(id);
   const index_t s = static_cast<index_t>(h_->effective_skeleton(id).size());
-  Matrix out(nd.size(), s);
-  std::vector<double> e(static_cast<size_t>(s), 0.0);
-  for (index_t j = 0; j < s; ++j) {
-    e[static_cast<size_t>(j)] = 1.0;
-    apply_phat(id, e,
-               std::span<double>(out.col(j), static_cast<size_t>(nd.size())));
-    e[static_cast<size_t>(j)] = 0.0;
-  }
+  Matrix out(h_->tree().node(id).size(), s);
+  apply_phat(id, Matrix::identity(s), out);
   return out;
 }
 

@@ -157,6 +157,21 @@ double leaf_pivot_ratio(const NodeFactor& f);
 /// ratio falls below `threshold`.
 bool leaf_near_singular(const NodeFactor& f, double threshold);
 
+/// Throws std::invalid_argument unless U and X are both n x B with the
+/// same B. Every solver's block entry calls it before touching data.
+void check_solve_shapes(index_t n, la::ConstMatrixView u,
+                        la::ConstMatrixView x, const char* who);
+
+/// W = rows [begin, begin + W.rows()) of U permuted into tree order,
+/// column by column. Each column passes through a scratch copy, so W
+/// may alias U.
+void to_tree_order(const HMatrix& h, la::ConstMatrixView u, index_t begin,
+                   la::MatrixView w);
+
+/// Permute every column of the N x B tree-order block X back to the
+/// original point order, in place.
+void from_tree_order(const HMatrix& h, la::MatrixView x);
+
 /// Per-node factor storage plus the factorize/solve kernels, operating
 /// in *permuted* (tree) coordinates on contiguous subranges.
 class FactorTree {
@@ -185,42 +200,31 @@ class FactorTree {
   /// parallel-for, deepest level first. Produces the same factors.
   void factorize_subtree_levelwise(index_t id, bool compute_phat);
 
-  /// In-place solve (lambda I + K~_αα)^-1 on u (|α| entries, permuted
-  /// order, offset relative to node begin). `cancel` (optional) is
-  /// checked at every internal node on the way down — the level
-  /// boundaries of Algorithm II.3 — and aborts by throwing
-  /// CancelledError, leaving u partially overwritten.
-  void solve_subtree(index_t id, std::span<double> u,
-                     const CancelToken* cancel = nullptr) const;
-
-  /// Block right-hand-side variant, fully in place on a strided
-  /// [node-size x B] column view: recursion descends through row
-  /// sub-views (no copies), skeleton corrections are single GEMMs over
-  /// the batch. This is the n_rhs dimension of the serving path — every
-  /// factor matrix is streamed once per batch instead of once per RHS.
+  /// In-place solve (lambda I + K~_αα)^-1 on a strided [node-size x B]
+  /// column view (permuted order, rows relative to the node begin):
+  /// recursion descends through row sub-views (no copies), skeleton
+  /// corrections are single GEMMs over the batch, so every factor matrix
+  /// is streamed once per batch. `cancel` (optional) is checked at every
+  /// internal node on the way down — the level boundaries of Algorithm
+  /// II.3 — and aborts by throwing CancelledError, leaving u partially
+  /// overwritten.
   void solve_subtree(index_t id, la::MatrixView u,
                      const CancelToken* cancel = nullptr) const;
-
-  /// Convenience overload: whole-matrix block solve.
-  void solve_subtree(index_t id, Matrix& u,
-                     const CancelToken* cancel = nullptr) const;
+  /// The B = 1 view of the block solve.
+  void solve_subtree(index_t id, std::span<double> u,
+                     const CancelToken* cancel = nullptr) const {
+    solve_subtree(id, la::column_view(u), cancel);
+  }
 
   /// Dense |α| x s_eff(α) unfactored basis E_α = P_{α,α~}^T expanded to
   /// point level by telescoping the projections (used by the Subtree
   /// baseline and by tests).
   Matrix expand_projection(index_t id) const;
 
-  /// y += alpha * P^_id * z, independent of storage mode: a GEMV on the
-  /// dense factor, or a recursive descent through the T stencils when
-  /// compact_w is on. |y| = node size, |z| = s_eff(id).
-  void apply_phat(index_t id, std::span<const double> z,
-                  std::span<double> y, double alpha = 1.0) const;
-
-  /// Block variant: Y += alpha * P^_id * Z with Z an s_eff(id) x B view
-  /// and Y a node-size x B view. Dense factors apply as a single GEMM
-  /// across the batch; in compact_w mode each T stencil is telescoped
-  /// once for all B columns (instead of once per column), which is where
-  /// the multi-RHS solve's factor-traffic saving comes from.
+  /// Y += alpha * P^_id * Z with Z an s_eff(id) x B view and Y a
+  /// node-size x B view, independent of storage mode: one GEMM on the
+  /// dense factor, or (compact_w) each T stencil telescoped once for
+  /// all B columns on the way down to the children's dense factors.
   void apply_phat(index_t id, la::ConstMatrixView z, la::MatrixView y,
                   double alpha = 1.0) const;
 

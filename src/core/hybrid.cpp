@@ -1,16 +1,14 @@
 #include "core/hybrid.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "core/verify.hpp"
 #include "kernel/gsks.hpp"
-#include "la/gemm.hpp"
 #include "obs/obs.hpp"
 
 namespace fdks::core {
@@ -38,25 +36,84 @@ void factorize_roots_ckpt(FactorTree& ft, std::span<const index_t> roots,
 
 }  // namespace
 
-HybridSolver::HybridSolver(const HMatrix& h, HybridOptions opts)
-    : h_(&h), opts_(opts), ft_(h, opts.direct) {
-  frontier_ = h.frontier();
-  obs::ScopedTimer t_factor("factorize");
+SolveCode gmres_code(const iter::GmresResult& r) {
+  if (r.breakdown) return SolveCode::Breakdown;
+  if (r.stagnated) return SolveCode::Stagnated;
+  return r.converged && !r.nonfinite ? SolveCode::Ok : SolveCode::NotConverged;
+}
 
-  if (frontier_.empty()) {
+std::vector<index_t> frontier_offsets(const HMatrix& h) {
+  std::vector<index_t> offsets{0};
+  for (index_t a : h.frontier())
+    offsets.push_back(offsets.back() +
+                      static_cast<index_t>(h.skeleton(a).skel.size()));
+  return offsets;
+}
+
+void frontier_matvec_v(const HMatrix& h, std::span<const index_t> offsets,
+                       std::span<const index_t> pts, la::ConstMatrixView q,
+                       la::MatrixView z) {
+  const index_t begin = pts.empty() ? 0 : pts.front();
+  const index_t end = begin + static_cast<index_t>(pts.size());
+  if (q.rows() != end - begin || z.rows() != offsets.back() ||
+      q.cols() != z.cols())
+    throw std::invalid_argument("frontier_matvec_v: shape mismatch");
+  const index_t nb = q.cols();
+  for (index_t j = 0; j < nb; ++j)
+    std::fill(z.col(j), z.col(j) + z.rows(), 0.0);
+  const auto& frontier = h.frontier();
+  for (size_t ai = 0; ai < frontier.size(); ++ai) {
+    const tree::Node& nd = h.tree().node(frontier[ai]);
+    const auto& skel = h.skeleton(frontier[ai]).skel;
+    la::MatrixView za = z.block(offsets[ai], 0,
+                                static_cast<index_t>(skel.size()), nb);
+    // K(a~, X \ a) q = K(a~, X) q - K(a~, X_a) q_a: fused block sweeps
+    // (each kernel tile evaluated once for all B columns), nothing
+    // materialized (matrix-free V, the paper's storage saving).
+    kernel::gsks_apply_block(h.km(), skel, pts, q, za, 1.0);
+    if (nd.begin < begin || nd.end > end) continue;
+    kernel::gsks_apply_block(
+        h.km(), skel,
+        pts.subspan(static_cast<size_t>(nd.begin - begin),
+                    static_cast<size_t>(nd.size())),
+        q.block(nd.begin - begin, 0, nd.size(), nb), za, -1.0);
+  }
+}
+
+void frontier_matvec_w(const FactorTree& ft, std::span<const index_t> offsets,
+                       index_t begin, la::ConstMatrixView z, la::MatrixView q,
+                       double alpha, double beta) {
+  const HMatrix& h = ft.hmatrix();
+  const index_t end = begin + q.rows();
+  if (z.rows() != offsets.back() || q.cols() != z.cols())
+    throw std::invalid_argument("frontier_matvec_w: shape mismatch");
+  const index_t nb = q.cols();
+  if (beta != 1.0)
+    for (index_t j = 0; j < nb; ++j)
+      for (index_t i = 0; i < q.rows(); ++i)
+        q(i, j) = beta == 0.0 ? 0.0 : beta * q(i, j);
+  const auto& frontier = h.frontier();
+  for (size_t ai = 0; ai < frontier.size(); ++ai) {
+    const tree::Node& nd = h.tree().node(frontier[ai]);
+    if (nd.begin < begin || nd.end > end) continue;
+    const auto sa = static_cast<index_t>(h.skeleton(frontier[ai]).skel.size());
+    ft.apply_phat(frontier[ai], z.block(offsets[ai], 0, sa, nb),
+                  q.block(nd.begin - begin, 0, nd.size(), nb), alpha);
+  }
+}
+
+HybridSolver::HybridSolver(const HMatrix& h, HybridOptions opts)
+    : h_(&h), opts_(opts), ft_(h, opts.direct), offsets_(frontier_offsets(h)) {
+  obs::ScopedTimer t_factor("factorize");
+  reduced_size_ = offsets_.back();
+  if (h.frontier().empty()) {
     // Degenerate single-leaf tree: the "frontier" is the root itself and
     // the solver is a plain dense factorization.
     const index_t roots[] = {h.tree().root()};
     factorize_roots_ckpt(ft_, roots, /*compute_phat=*/false);
   } else {
-    offsets_.reserve(frontier_.size() + 1);
-    offsets_.push_back(0);
-    for (index_t a : frontier_)
-      offsets_.push_back(offsets_.back() +
-                         static_cast<index_t>(h.skeleton(a).skel.size()));
-    reduced_size_ = offsets_.back();
     // Each frontier root needs its own P^ (it is a W block).
-    factorize_roots_ckpt(ft_, frontier_, /*compute_phat=*/true);
+    factorize_roots_ckpt(ft_, h.frontier(), /*compute_phat=*/true);
   }
   factor_seconds_ = t_factor.stop();
   obs::add("hybrid.reduced_size", static_cast<double>(reduced_size_));
@@ -67,327 +124,115 @@ HybridSolver::HybridSolver(const HMatrix& h, HybridOptions opts)
 
 void HybridSolver::matvec_v(std::span<const double> q,
                             std::span<double> z) const {
-  if (static_cast<index_t>(z.size()) != reduced_size_ ||
-      static_cast<index_t>(q.size()) != h_->n())
-    throw std::invalid_argument("matvec_v: size mismatch");
-  std::fill(z.begin(), z.end(), 0.0);
-  for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-    const index_t a = frontier_[ai];
-    const tree::Node& nd = h_->tree().node(a);
-    const auto& skel = h_->skeleton(a).skel;
-    auto za = z.subspan(static_cast<size_t>(offsets_[ai]), skel.size());
-    // K(a~, X \ a) q = K(a~, X) q - K(a~, X_a) q_a: two fused sweeps,
-    // nothing materialized (matrix-free V, the paper's storage saving).
-    kernel::gsks_apply(h_->km(), skel, all_ids_, q, za, 1.0);
-    std::vector<index_t> own(static_cast<size_t>(nd.size()));
-    std::iota(own.begin(), own.end(), nd.begin);
-    kernel::gsks_apply(h_->km(), skel, own,
-                       q.subspan(static_cast<size_t>(nd.begin),
-                                 static_cast<size_t>(nd.size())),
-                       za, -1.0);
-  }
+  frontier_matvec_v(*h_, offsets_, all_ids_, la::column_view(q),
+                    la::column_view(z));
 }
 
 void HybridSolver::matvec_w(std::span<const double> z,
                             std::span<double> q) const {
-  if (static_cast<index_t>(z.size()) != reduced_size_ ||
-      static_cast<index_t>(q.size()) != h_->n())
+  if (static_cast<index_t>(q.size()) != h_->n())
     throw std::invalid_argument("matvec_w: size mismatch");
-  std::fill(q.begin(), q.end(), 0.0);
-  for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-    const index_t a = frontier_[ai];
-    const tree::Node& nd = h_->tree().node(a);
-    const size_t sa = h_->skeleton(a).skel.size();
-    ft_.apply_phat(a, z.subspan(static_cast<size_t>(offsets_[ai]), sa),
-                   q.subspan(static_cast<size_t>(nd.begin),
-                             static_cast<size_t>(nd.size())));
-  }
+  frontier_matvec_w(ft_, offsets_, 0, la::column_view(z), la::column_view(q));
 }
 
 void HybridSolver::reduced_apply(std::span<const double> z,
                                  std::span<double> y) const {
-  std::vector<double> q(static_cast<size_t>(h_->n()), 0.0);
+  std::vector<double> q(static_cast<size_t>(h_->n()));
   matvec_w(z, q);
   matvec_v(q, y);
   for (size_t i = 0; i < z.size(); ++i) y[i] += z[i];
 }
 
-std::vector<double> HybridSolver::solve(std::span<const double> u,
-                                        const CancelToken* cancel) const {
-  if (static_cast<index_t>(u.size()) != h_->n())
-    throw std::invalid_argument("HybridSolver::solve: size mismatch");
-  obs::ScopedTimer t_solve("solve");
-
-  std::vector<double> ut = h_->to_tree_order(u);
-
-  if (frontier_.empty()) {  // Single-leaf degenerate case.
-    ft_.solve_subtree(h_->tree().root(), std::span<double>(ut), cancel);
-    return h_->from_tree_order(ut);
-  }
-
-  // Algorithm II.6. Step 1: w = D^-1 u on every frontier subtree.
-  std::vector<double> w = ut;
-  for (index_t a : frontier_) {
-    if (cancel) cancel->check("HybridSolver::solve");
-    const tree::Node& nd = h_->tree().node(a);
-    ft_.solve_subtree(a,
-                      std::span<double>(w.data() + nd.begin,
-                                        static_cast<size_t>(nd.size())),
-                      cancel);
-  }
-
-  if (reduced_size_ == 0) return h_->from_tree_order(w);
-
-  // Step 2: rhs = V w; step 3: solve (I + VW) z = rhs with GMRES. The
-  // token rides into the Krylov loop through GmresOptions.
-  std::vector<double> rhs(static_cast<size_t>(reduced_size_), 0.0);
-  matvec_v(w, rhs);
-  iter::GmresOptions gopts = opts_.gmres;
-  if (cancel) gopts.cancel = cancel;
-  last_ = iter::gmres(
-      reduced_size_,
-      [this](std::span<const double> z, std::span<double> y) {
-        reduced_apply(z, y);
-      },
-      rhs, gopts);
-
-  // Step 4: x = w - W z.
-  std::vector<double> wz(static_cast<size_t>(h_->n()), 0.0);
-  matvec_w(last_.x, wz);
-  for (size_t i = 0; i < w.size(); ++i) w[i] -= wz[i];
-  return h_->from_tree_order(w);
-}
-
-Matrix HybridSolver::solve(const Matrix& u,
-                           const CancelToken* cancel) const {
-  const index_t n = h_->n();
-  if (u.rows() != n)
-    throw std::invalid_argument("HybridSolver::solve: block shape mismatch");
+void HybridSolver::solve(la::ConstMatrixView u, la::MatrixView x,
+                         const CancelToken* cancel) const {
+  check_solve_shapes(h_->n(), u, x, "HybridSolver::solve");
   obs::ScopedTimer t_solve("solve");
   const index_t nrhs = u.cols();
+  to_tree_order(*h_, u, 0, x);
+  reduced_code_ = SolveCode::Ok;
+  gmres_iterations_ = 0;
 
-  Matrix w(n, nrhs);
-  for (index_t j = 0; j < nrhs; ++j) {
-    std::vector<double> ut = h_->to_tree_order(
-        std::span<const double>(u.col(j), static_cast<size_t>(n)));
-    std::copy(ut.begin(), ut.end(), w.col(j));
+  if (h_->frontier().empty()) {  // Single-leaf degenerate case.
+    ft_.solve_subtree(h_->tree().root(), x, cancel);
+    from_tree_order(*h_, x);
+    return;
   }
-  la::MatrixView wv(w);
 
-  if (frontier_.empty()) {  // Single-leaf degenerate case.
-    ft_.solve_subtree(h_->tree().root(), w, cancel);
-  } else {
-    // Step 1: W = D^-1 U, one in-place block solve per frontier subtree.
-    for (index_t a : frontier_) {
-      if (cancel) cancel->check("HybridSolver::solve");
-      const tree::Node& nd = h_->tree().node(a);
-      ft_.solve_subtree(a, wv.block(nd.begin, 0, nd.size(), nrhs), cancel);
+  // Algorithm II.6. Step 1: W = D^-1 U, one in-place block solve per
+  // frontier subtree.
+  for (index_t a : h_->frontier()) {
+    if (cancel) cancel->check("HybridSolver::solve");
+    const tree::Node& nd = h_->tree().node(a);
+    ft_.solve_subtree(a, x.block(nd.begin, 0, nd.size(), nrhs), cancel);
+  }
+
+  if (reduced_size_ > 0) {
+    // Step 2: RHS = V W.
+    Matrix rhs(reduced_size_, nrhs);
+    frontier_matvec_v(*h_, offsets_, all_ids_, x, rhs);
+
+    // Step 3: (I + VW) z = rhs, one GMRES per column (Krylov spaces are
+    // per-RHS; everything around them is batched). The token rides into
+    // the Krylov loop through GmresOptions.
+    iter::GmresOptions gopts = opts_.gmres;
+    if (cancel) gopts.cancel = cancel;
+    Matrix z(reduced_size_, nrhs);
+    for (index_t j = 0; j < nrhs; ++j) {
+      last_ = iter::gmres(
+          reduced_size_,
+          [this](std::span<const double> zc, std::span<double> y) {
+            reduced_apply(zc, y);
+          },
+          la::ConstMatrixView(rhs).col_span(j), gopts);
+      reduced_code_ = std::max(reduced_code_, gmres_code(last_));
+      gmres_iterations_ += last_.iterations;
+      std::copy(last_.x.begin(), last_.x.end(), z.col(j));
     }
 
-    if (reduced_size_ > 0) {
-      // Step 2: RHS = V W, fused block sweeps (each kernel tile is
-      // evaluated once for all B columns).
-      Matrix rhs(reduced_size_, nrhs);
-      la::MatrixView rhsv(rhs);
-      for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-        const index_t a = frontier_[ai];
-        const tree::Node& nd = h_->tree().node(a);
-        const auto& skel = h_->skeleton(a).skel;
-        const index_t sa = static_cast<index_t>(skel.size());
-        la::MatrixView za = rhsv.block(offsets_[ai], 0, sa, nrhs);
-        kernel::gsks_apply_block(h_->km(), skel, all_ids_,
-                                 la::ConstMatrixView(wv), za, 1.0);
-        std::vector<index_t> own(static_cast<size_t>(nd.size()));
-        std::iota(own.begin(), own.end(), nd.begin);
-        kernel::gsks_apply_block(
-            h_->km(), skel, own,
-            la::ConstMatrixView(wv.block(nd.begin, 0, nd.size(), nrhs)), za,
-            -1.0);
-      }
-
-      // Step 3: (I + VW) z = rhs, one GMRES per column (Krylov spaces
-      // are per-RHS; everything around them is batched).
-      iter::GmresOptions gopts = opts_.gmres;
-      if (cancel) gopts.cancel = cancel;
-      Matrix z(reduced_size_, nrhs);
-      for (index_t j = 0; j < nrhs; ++j) {
-        last_ = iter::gmres(
-            reduced_size_,
-            [this](std::span<const double> zc, std::span<double> y) {
-              reduced_apply(zc, y);
-            },
-            std::span<const double>(rhs.col(j),
-                                    static_cast<size_t>(reduced_size_)),
-            gopts);
-        std::copy(last_.x.begin(), last_.x.end(), z.col(j));
-      }
-
-      // Step 4: X = W - W_mat Z, batched P^ applications with alpha=-1
-      // accumulating straight into w.
-      const la::ConstMatrixView zv(z);
-      for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-        const index_t a = frontier_[ai];
-        const tree::Node& nd = h_->tree().node(a);
-        const index_t sa =
-            static_cast<index_t>(h_->skeleton(a).skel.size());
-        ft_.apply_phat(a, zv.block(offsets_[ai], 0, sa, nrhs),
-                       wv.block(nd.begin, 0, nd.size(), nrhs), -1.0);
-      }
-    }
+    // Step 4: X = W - W_mat Z, accumulating straight into x.
+    frontier_matvec_w(ft_, offsets_, 0, z, x, -1.0, 1.0);
   }
+  from_tree_order(*h_, x);
+}
 
-  Matrix x(n, nrhs);
-  for (index_t j = 0; j < nrhs; ++j) {
-    std::vector<double> xo = h_->from_tree_order(
-        std::span<const double>(w.col(j), static_cast<size_t>(n)));
-    std::copy(xo.begin(), xo.end(), x.col(j));
-  }
+std::vector<double> HybridSolver::solve(std::span<const double> u,
+                                        const CancelToken* cancel) const {
+  std::vector<double> x(u.size());
+  solve(la::column_view(u), la::column_view(std::span<double>(x)), cancel);
+  return x;
+}
+
+Matrix HybridSolver::solve(const Matrix& u, const CancelToken* cancel) const {
+  Matrix x(u.rows(), u.cols());
+  solve(u, x, cancel);
   return x;
 }
 
 SolveStatus HybridSolver::solve_with_status(std::span<const double> u,
                                             std::span<double> x) const {
-  SolveStatus st;
-  const FactorStatus fs = ft_.factor_status();
-  st.lambda_effective = fs.lambda_effective;
-  st.shifted_nodes = fs.shifted_nodes;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
+  const la::ConstMatrixView uv = la::column_view(u);
+  const la::MatrixView xv = la::column_view(x);
+  check_solve_shapes(h_->n(), uv, xv, "HybridSolver::solve_with_status");
+  // A non-finite right-hand side is reported without solving.
+  if (all_finite(u))
+    solve(uv, xv);
+  else
     obs::add("guardrail.nonfinite_rhs");
-    return st;
-  }
-
-  std::vector<double> x0 = solve(u);
-  st.gmres_iterations = last_.iterations;
-  const double lambda = opts_.direct.lambda;
-  const bool x0_finite =
-      all_finite(std::span<const double>(x0.data(), x0.size()));
-  double res0 = std::numeric_limits<double>::infinity();
-  if (x0_finite) res0 = h_->relative_residual(x0, u, lambda);
-  st.residual = res0;
-
-  const bool reduced_failed = reduced_size_ > 0 &&
-                              (!last_.converged || last_.nonfinite ||
-                               last_.breakdown || last_.stagnated);
-  const bool want_escalate =
-      opts_.escalate_residual_tol > 0.0 &&
-      (!x0_finite || !std::isfinite(res0) ||
-       res0 > opts_.escalate_residual_tol || reduced_failed);
-
-  if (want_escalate) {
-    // Certification-ladder rung 1 (core/verify.hpp): cheap fixed-point
-    // refinement x += M^-1(u − A x) before demoting the factor to a
-    // preconditioner. When the hybrid answer is close, a step or two
-    // reaches the tolerance at a fraction of the outer-Krylov cost.
-    // Skipped when the reduced GMRES failed outright — refinement
-    // through a broken reduced solve would reuse the broken operator.
-    if (x0_finite && std::isfinite(res0) && !reduced_failed) {
-      const VerifyPolicy& vp = opts_.direct.verify;
-      std::vector<double> ax(u.size());
-      double rel = res0;
-      for (int step = 0; step < vp.max_refine_steps; ++step) {
-        h_->apply(x0, ax, lambda);
-        for (size_t i = 0; i < ax.size(); ++i) ax[i] = u[i] - ax[i];
-        std::vector<double> dx = solve(ax);
-        if (!all_finite(std::span<const double>(dx.data(), dx.size())))
-          break;
-        for (size_t i = 0; i < x0.size(); ++i) x0[i] += dx[i];
-        const double prev = rel;
-        rel = h_->relative_residual(x0, u, lambda);
-        obs::add("refine.steps");
-        if (std::isfinite(rel) && rel <= opts_.escalate_residual_tol)
-          break;
-        if (!std::isfinite(rel) || rel >= vp.min_step_improvement * prev) {
-          if (!std::isfinite(rel) || rel > prev) {
-            // The step made things worse: roll it back.
-            for (size_t i = 0; i < x0.size(); ++i) x0[i] -= dx[i];
-            rel = prev;
-          }
-          break;  // Stagnated: fall through to the GMRES rung.
-        }
-      }
-      if (rel < res0) {
-        res0 = rel;
-        st.residual = rel;
-      }
-    }
-  }
-
-  const bool want_outer_gmres =
-      want_escalate && !(std::isfinite(res0) && x0_finite &&
-                         res0 <= opts_.escalate_residual_tol &&
-                         !reduced_failed);
-  if (want_outer_gmres) {
-    // Graceful degradation (§II-C discussion): the direct pass becomes a
-    // right preconditioner M^-1 for an outer GMRES on A = lambda I + K~,
-    // i.e. solve (A M^-1) y = u, then x = M^-1 y.
-    obs::add("guardrail.escalations");
-    obs::add("refine.escalations");
-    ++st.escalations;
-    iter::GmresOptions og;
-    og.max_iters = opts_.escalate_max_iters;
-    og.restart = std::min(opts_.escalate_max_iters, 60);
-    og.rtol = opts_.escalate_residual_tol;
-    og.record_history = false;
-    std::vector<double> scratch(u.size());
-    auto op = [this, lambda, &scratch](std::span<const double> y,
-                                       std::span<double> out) {
-      std::vector<double> q = solve(y);  // q = M^-1 y.
-      std::copy(q.begin(), q.end(), scratch.begin());
-      h_->apply(scratch, out, lambda);   // out = A q.
-    };
-    iter::GmresResult outer =
-        iter::gmres(h_->n(), op, u, og);
-    st.gmres_iterations += outer.iterations;
-    if (all_finite(std::span<const double>(outer.x.data(),
-                                           outer.x.size()))) {
-      std::vector<double> xe = solve(outer.x);
-      if (all_finite(std::span<const double>(xe.data(), xe.size()))) {
-        const double rese = h_->relative_residual(xe, u, lambda);
-        if (std::isfinite(rese) && (!std::isfinite(res0) || rese < res0)) {
-          x0 = std::move(xe);
-          st.residual = rese;
-        }
-      }
-    }
-  }
-
-  if (!all_finite(std::span<const double>(x0.data(), x0.size()))) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "solution contains NaN/Inf";
-    return st;
-  }
-  std::copy(x0.begin(), x0.end(), x.begin());
-
-  // Outcome priority: worst condition wins, repaired states still ok().
-  if (want_escalate) {
-    if (opts_.escalate_residual_tol > 0.0 &&
-        st.residual > opts_.escalate_residual_tol) {
-      st.code = SolveCode::NotConverged;
-      st.detail = "escalated solve still misses escalate_residual_tol";
-    } else {
-      st.code = SolveCode::Escalated;
-    }
-  } else if (reduced_failed) {
-    if (last_.breakdown) {
-      st.code = SolveCode::Breakdown;
-    } else if (last_.stagnated) {
-      st.code = SolveCode::Stagnated;
-    } else {
-      st.code = SolveCode::NotConverged;
-    }
-    st.detail = "reduced-system GMRES did not converge";
-  } else if (fs.code == FactorCode::ShiftedDiagonal) {
-    st.code = SolveCode::ShiftedDiagonal;
-  }
-  return st;
+  const VerifyPolicy& vp = opts_.direct.verify;
+  VerifyOps ops;
+  ops.apply = certification_operator(*h_, vp.op, opts_.direct.lambda);
+  ops.solve = [this](la::ConstMatrixView in, la::MatrixView y) {
+    solve(in, y);
+  };
+  return finish_solve(ops, vp, should_verify(vp, verify_seq_++),
+                      ft_.factor_status(), reduced_code_, gmres_iterations_,
+                      uv, xv);
 }
 
 size_t HybridSolver::factor_bytes() const {
-  if (frontier_.empty()) return ft_.subtree_bytes(h_->tree().root());
+  if (h_->frontier().empty()) return ft_.subtree_bytes(h_->tree().root());
   size_t b = 0;
-  for (index_t a : frontier_) b += ft_.subtree_bytes(a);
+  for (index_t a : h_->frontier()) b += ft_.subtree_bytes(a);
   return b;
 }
 

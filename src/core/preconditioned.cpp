@@ -44,22 +44,21 @@ ExactSolveResult solve_exact_preconditioned(const askit::HMatrix& h,
                                             const FastDirectSolver& m,
                                             std::span<const double> u,
                                             iter::GmresOptions opts) {
-  const la::index_t n = h.n();
   const double lambda = m.lambda();
   ExactSolveResult out;
-  // Right preconditioning: solve (A M^-1) y = u, then x = M^-1 y. The
-  // GMRES residual is the residual of the original system, so the
-  // recorded history is directly meaningful.
+  // Right preconditioning: GMRES solves (A M^-1) y = u and returns
+  // x = M^-1 y. The GMRES residual is the residual of the original
+  // system, so the recorded history is directly meaningful.
+  opts.right_precond = [&m](std::span<const double> z, std::span<double> y) {
+    m.solve(z, y);
+  };
   out.gmres = iter::gmres(
-      n,
-      [&](std::span<const double> z, std::span<double> y) {
-        std::vector<double> t(z.size());
-        m.solve(z, t);
-        exact_apply(h, lambda, t, y);
+      h.n(),
+      [&](std::span<const double> w, std::span<double> y) {
+        exact_apply(h, lambda, w, y);
       },
       u, opts);
-  out.x.assign(static_cast<size_t>(n), 0.0);
-  m.solve(out.gmres.x, out.x);
+  out.x = out.gmres.x;
   out.exact_residual = residual_of(h, lambda, out.x, u);
   return out;
 }

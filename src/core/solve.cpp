@@ -1,70 +1,17 @@
 // Recursive solve (Algorithm II.3): apply (lambda I + K~_αα)^-1 via the
 // stored SMW factors.
 #include <stdexcept>
-#include <vector>
 
 #include "core/factor_tree.hpp"
 #include "la/gemm.hpp"
 
 namespace fdks::core {
 
-void FactorTree::solve_subtree(index_t id, std::span<double> u,
-                               const CancelToken* cancel) const {
-  const tree::Node& nd = h_->tree().node(id);
-  const NodeFactor& f = nf_[static_cast<size_t>(id)];
-  if (!f.factored) throw std::logic_error("solve_subtree: not factorized");
-  if (static_cast<index_t>(u.size()) != nd.size())
-    throw std::invalid_argument("solve_subtree: size mismatch");
-
-  if (nd.is_leaf()) {
-    if (f.leaf_uses_chol)
-      la::chol_solve(f.leaf_chol, u);
-    else
-      la::lu_solve(f.leaf_lu, u);
-    return;
-  }
-
-  // Cooperative cancellation at level boundaries: one clock read per
-  // internal node, never inside the dense kernels.
-  if (cancel) cancel->check("FactorTree::solve_subtree");
-
-  const tree::Node& l = h_->tree().node(nd.left);
-  const index_t nl = l.size();
-  const index_t sl = f.v_lr.rows();
-  const index_t sr = f.v_rl.rows();
-
-  auto ul = u.subspan(0, static_cast<size_t>(nl));
-  auto ur = u.subspan(static_cast<size_t>(nl));
-
-  // u' = D^-1 u by recursion on the children.
-  solve_subtree(nd.left, ul, cancel);
-  solve_subtree(nd.right, ur, cancel);
-
-  // t = V u' = [K(l~, X_r) u'_r ; K(r~, X_l) u'_l], then t = Z^-1 t.
-  std::vector<double> t(static_cast<size_t>(sl + sr), 0.0);
-  f.v_lr.apply(ur, std::span<double>(t.data(), static_cast<size_t>(sl)));
-  f.v_rl.apply(ul, std::span<double>(t.data() + sl, static_cast<size_t>(sr)));
-  la::lu_solve(f.z_lu, t);
-
-  // u <- u' - W t with W = blockdiag(P^_l, P^_r); apply_phat dispatches
-  // on the storage mode (dense factor or compact telescoping).
-  apply_phat(nd.left,
-             std::span<const double>(t.data(), static_cast<size_t>(sl)), ul,
-             -1.0);
-  apply_phat(nd.right,
-             std::span<const double>(t.data() + sl, static_cast<size_t>(sr)),
-             ur, -1.0);
-}
-
-// Block-RHS variant of Algorithm II.3: same recursion as the scalar
-// solve above, but every step operates on all B columns at once through
-// strided views into the caller's storage. Nothing is copied in or out
-// (the old implementation materialized child blocks with u.block()/
-// set_block at every internal node — O(N log N · B) extra traffic — and
-// silently dropped the children's in-place updates if an exception
-// unwound between the copies). Leaf solves stream each factor column
-// across all RHS columns (TRSM-style), and the V / Z / W corrections
-// are single GEMM-width operations over the batch.
+// Every step operates on all B columns at once through strided views
+// into the caller's storage; a single right-hand side is the B = 1 view.
+// Nothing is copied in or out. Leaf solves stream each factor column
+// across all RHS columns (TRSM-style), and the V / Z / W corrections are
+// single GEMM-width operations over the batch.
 void FactorTree::solve_subtree(index_t id, la::MatrixView u,
                                const CancelToken* cancel) const {
   const tree::Node& nd = h_->tree().node(id);
@@ -81,6 +28,8 @@ void FactorTree::solve_subtree(index_t id, la::MatrixView u,
     return;
   }
 
+  // Cooperative cancellation at level boundaries: one clock read per
+  // internal node, never inside the dense kernels.
   if (cancel) cancel->check("FactorTree::solve_subtree");
 
   const index_t nl = h_->tree().node(nd.left).size();
@@ -109,11 +58,6 @@ void FactorTree::solve_subtree(index_t id, la::MatrixView u,
              -1.0);
   apply_phat(nd.right, la::ConstMatrixView(tv.block(sl, 0, sr, nrhs)), ubot,
              -1.0);
-}
-
-void FactorTree::solve_subtree(index_t id, Matrix& u,
-                               const CancelToken* cancel) const {
-  solve_subtree(id, la::MatrixView(u), cancel);
 }
 
 }  // namespace fdks::core

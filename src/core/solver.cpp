@@ -88,14 +88,14 @@ VerifyOutcome FastDirectSolver::solve_verified(std::span<const double> u,
                             cancel);
 }
 
-void FastDirectSolver::solve(std::span<const double> u, std::span<double> x,
+void FastDirectSolver::solve(la::ConstMatrixView u, la::MatrixView x,
                              const CancelToken* cancel) const {
-  obs::ScopedTimer t("solve");
   const HMatrix& h = ft_.hmatrix();
-  std::vector<double> ut = h.to_tree_order(u);
-  ft_.solve_subtree(h.tree().root(), std::span<double>(ut), cancel);
-  std::vector<double> xo = h.from_tree_order(ut);
-  std::copy(xo.begin(), xo.end(), x.begin());
+  check_solve_shapes(h.n(), u, x, "FastDirectSolver::solve");
+  obs::ScopedTimer t("solve");
+  to_tree_order(h, u, 0, x);
+  ft_.solve_subtree(h.tree().root(), x, cancel);
+  from_tree_order(h, x);
 }
 
 std::vector<double> FastDirectSolver::solve(std::span<const double> u,
@@ -107,55 +107,22 @@ std::vector<double> FastDirectSolver::solve(std::span<const double> u,
 
 Matrix FastDirectSolver::solve(const Matrix& u,
                                const CancelToken* cancel) const {
-  // One batched telescoping solve over all B columns: permute the block
-  // into tree order, run the in-place block solve_subtree (factors are
-  // streamed once for the whole batch), permute back. Only the O(N B)
-  // permutations stay per-column.
-  obs::ScopedTimer t("solve");
-  const HMatrix& h = ft_.hmatrix();
-  const index_t n = u.rows();
-  Matrix x(n, u.cols());
-  for (index_t j = 0; j < u.cols(); ++j) {
-    std::vector<double> ut = h.to_tree_order(
-        std::span<const double>(u.col(j), static_cast<size_t>(n)));
-    std::copy(ut.begin(), ut.end(), x.col(j));
-  }
-  ft_.solve_subtree(h.tree().root(), x, cancel);
-  for (index_t j = 0; j < x.cols(); ++j) {
-    std::vector<double> xo = h.from_tree_order(
-        std::span<const double>(x.col(j), static_cast<size_t>(n)));
-    std::copy(xo.begin(), xo.end(), x.col(j));
-  }
+  Matrix x(u.rows(), u.cols());
+  solve(u, x, cancel);
   return x;
 }
 
 SolveStatus FastDirectSolver::solve_checked(std::span<const double> u,
                                             std::span<double> x) const {
-  SolveStatus st;
-  const FactorStatus fs = ft_.factor_status();
-  st.lambda_effective = fs.lambda_effective;
-  st.shifted_nodes = fs.shifted_nodes;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
+  // A non-finite right-hand side is reported without solving.
+  if (all_finite(u))
+    solve(u, x);
+  else
     obs::add("guardrail.nonfinite_rhs");
-    return st;
-  }
-  solve(u, x);
-  if (!all_finite(x)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = fs.code == FactorCode::NonFinite
-                    ? "solution contains NaN/Inf (factorization was "
-                      "already non-finite)"
-                    : "solution contains NaN/Inf";
-    return st;
-  }
-  st.residual =
-      ft_.hmatrix().relative_residual(x, u, ft_.options().lambda);
-  if (fs.code == FactorCode::ShiftedDiagonal) {
-    st.code = SolveCode::ShiftedDiagonal;
-  }
-  return st;
+  const VerifyPolicy& vp = ft_.options().verify;
+  return finish_solve(solver_ops(*this, vp), vp, /*certify=*/false,
+                      factor_status(), SolveCode::Ok, 0, la::column_view(u),
+                      la::column_view(x));
 }
 
 size_t FastDirectSolver::factor_bytes() const {

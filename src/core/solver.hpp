@@ -28,23 +28,33 @@ class FastDirectSolver {
   /// done for different values of lambda", §I).
   void refactorize(double lambda);
 
-  /// Solve (lambda I + K~) x = u. Vectors are in the caller's original
-  /// point order. `cancel` (optional) is checked at the internal-node
-  /// boundaries of the telescoping recursion; an expired token aborts
-  /// the solve with core::CancelledError (see core/cancel.hpp).
-  void solve(std::span<const double> u, std::span<double> x,
+  /// Solve (lambda I + K~) X = U for the B columns of U, in the caller's
+  /// original point order: one batched telescoping solve that streams
+  /// every factor once for the whole block. U and X must both be N x B
+  /// (std::invalid_argument otherwise, before any data is touched); X may
+  /// alias U. `cancel` (optional) is checked at the internal-node
+  /// boundaries of the recursion; an expired token aborts the solve with
+  /// core::CancelledError (see core/cancel.hpp) and leaves X garbage.
+  void solve(la::ConstMatrixView u, la::MatrixView x,
              const CancelToken* cancel = nullptr) const;
+
+  // B = 1 and owning views of the block solve.
+  void solve(std::span<const double> u, std::span<double> x,
+             const CancelToken* cancel = nullptr) const {
+    solve(la::column_view(u), la::column_view(x), cancel);
+  }
   std::vector<double> solve(std::span<const double> u,
                             const CancelToken* cancel = nullptr) const;
-
-  /// Block solve for multiple right-hand sides (columns of u).
   Matrix solve(const Matrix& u, const CancelToken* cancel = nullptr) const;
 
   /// Guarded solve: validates the input, solves, validates the output,
-  /// and returns a structured outcome including the true relative
-  /// residual against the hierarchical operator and any diagonal-shift
-  /// degradation inherited from the factorization. Never throws on
-  /// numerical trouble — inspect the returned SolveStatus.
+  /// and returns a structured outcome (core::finish_solve, no
+  /// certification ladder) including the true relative residual through
+  /// the options().verify.op operator (the factorized operator by
+  /// default) and any diagonal-shift degradation inherited from the
+  /// factorization. A non-finite right-hand side is reported without
+  /// solving. Never throws on numerical trouble — inspect the returned
+  /// SolveStatus.
   SolveStatus solve_checked(std::span<const double> u,
                             std::span<double> x) const;
 

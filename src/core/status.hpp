@@ -11,9 +11,9 @@
 //     near-singular factors left in place, or non-finite input detected.
 //
 //   SolveStatus — what happened during a guarded solve: clean, degraded
-//     (shifted factors), escalated (the hybrid solver demoted its direct
-//     factor to a preconditioner and re-solved iteratively), iterative
-//     breakdown/stagnation, non-convergence, or non-finite data.
+//     (shifted factors), escalated (the certification ladder demoted the
+//     factor to a GMRES preconditioner), iterative breakdown/stagnation,
+//     non-convergence, or non-finite data.
 //
 // Statuses with ok() == true mean "a usable solution was produced",
 // possibly via a recorded degradation path; callers that need exact
@@ -61,7 +61,7 @@ struct [[nodiscard]] FactorStatus {
 enum class SolveCode {
   Ok,               ///< Clean solve.
   ShiftedDiagonal,  ///< Solved with diagonal-shifted factors.
-  Escalated,        ///< Hybrid auto-escalation (factor as preconditioner).
+  Escalated,        ///< Ladder escalation (factor as GMRES preconditioner).
   NotConverged,     ///< Iterative phase missed its tolerance.
   Breakdown,        ///< GMRES Arnoldi breakdown before convergence.
   Stagnated,        ///< GMRES stagnation detector tripped.
@@ -153,6 +153,11 @@ struct [[nodiscard]] VerifyOutcome {
 inline bool all_finite(std::span<const double> v) {
   for (double x : v)
     if (!std::isfinite(x)) return false;
+  return true;
+}
+inline bool all_finite(la::ConstMatrixView m) {
+  for (index_t j = 0; j < m.cols(); ++j)
+    if (!all_finite(m.col_span(j))) return false;
   return true;
 }
 

@@ -54,33 +54,40 @@ double finish_residual(std::span<const double> b, std::span<double> r) {
   return bnorm > 0.0 ? rnorm / bnorm : rnorm;
 }
 
-/// r = b − A x for one column; returns ‖r‖/‖b‖.
-double residual_into(const VerifyOps& ops, std::span<const double> b,
-                     std::span<const double> x, std::span<double> r) {
-  ops.apply(la::column_view(x), la::column_view(r));
-  return finish_residual(b, r);
+/// The columns `cols` of m, gathered into one contiguous block.
+Matrix select_cols(la::ConstMatrixView m, const std::vector<index_t>& cols) {
+  Matrix out(m.rows(), static_cast<index_t>(cols.size()));
+  for (size_t i = 0; i < cols.size(); ++i)
+    std::copy(m.col(cols[i]), m.col(cols[i]) + m.rows(),
+              out.col(static_cast<index_t>(i)));
+  return out;
 }
 
 /// Measures columns `cols` (ascending) of x with ONE block apply:
 /// r_j = b_j − A x_j and rel_j for every j in `cols`.
-void measure_columns(const VerifyOps& ops, const Matrix& b, const Matrix& x,
-                     const std::vector<index_t>& cols, Matrix& r,
-                     std::vector<double>& rel) {
+void measure_columns(const VerifyOps& ops, la::ConstMatrixView b,
+                     la::ConstMatrixView x, const std::vector<index_t>& cols,
+                     Matrix& r, std::vector<double>& rel) {
   const index_t n = b.rows();
   const auto nc = static_cast<index_t>(cols.size());
   if (nc == 0) return;
   if (nc == x.cols()) {  // Every column: apply straight into r.
     ops.apply(x, r);
   } else {
-    Matrix rf = x.select_cols(cols);
+    Matrix rf = select_cols(x, cols);
     ops.apply(rf, rf);
     for (index_t i = 0; i < nc; ++i)
       std::copy(rf.col(i), rf.col(i) + n, r.col(cols[static_cast<size_t>(i)]));
   }
   for (const index_t j : cols)
-    rel[static_cast<size_t>(j)] = finish_residual(
-        std::span<const double>(b.col(j), static_cast<size_t>(n)),
-        std::span<double>(r.col(j), static_cast<size_t>(n)));
+    rel[static_cast<size_t>(j)] =
+        finish_residual(b.col_span(j), la::MatrixView(r).col_span(j));
+}
+
+std::vector<index_t> all_columns(index_t cols) {
+  std::vector<index_t> all(static_cast<size_t>(cols));
+  std::iota(all.begin(), all.end(), index_t{0});
+  return all;
 }
 
 bool certified(double rel, const VerifyPolicy& p) {
@@ -102,7 +109,10 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
   go.rtol = p.target_residual;
   go.record_history = false;
   go.cancel = cancel;
-  go.right_precond = ops.solve;
+  go.right_precond = [&ops](std::span<const double> in,
+                            std::span<double> out) {
+    ops.solve(la::column_view(in), la::column_view(out));
+  };
   const iter::LinOp a = [&ops](std::span<const double> in,
                               std::span<double> out) {
     ops.apply(la::column_view(in), la::column_view(out));
@@ -111,8 +121,9 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
       iter::gmres(static_cast<index_t>(b.size()), a, b, go);
   // Trust a measured residual, not the Givens estimate: the candidate
   // only replaces the incumbent when it is verifiably better.
-  std::vector<double> scratch(b.size(), 0.0);
-  const double cand = residual_into(ops, b, gr.x, scratch);
+  Matrix ax(static_cast<index_t>(b.size()), 1);
+  ops.apply(la::column_view(std::span<const double>(gr.x)), ax);
+  const double cand = finish_residual(b, la::MatrixView(ax).col_span(0));
   if (std::isfinite(cand) && (!std::isfinite(rel) || cand < rel)) {
     std::copy(gr.x.begin(), gr.x.end(), x.begin());
     return cand;
@@ -122,84 +133,19 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
 
 }  // namespace
 
-VerifyOutcome certify_and_refine_ops(const VerifyOps& ops,
-                                     std::span<const double> b,
-                                     std::span<double> x,
-                                     const VerifyPolicy& p,
-                                     const CancelToken* cancel) {
-  VerifyOutcome out;
-  const auto t0 = std::chrono::steady_clock::now();
-  out.measured = true;
-  if (ops.emit_obs) obs::add("verify.checks");
-
-  const size_t n = x.size();
-  std::vector<double> r(n, 0.0);
-  double rel = residual_into(ops, b, x, r);
-
-  if (!certified(rel, p)) {
-    if (ops.emit_obs) obs::add("verify.fail");
-    // Rung 1: fixed-point refinement x += F⁻¹(b − A x). Contraction
-    // factor ≈ ‖I − F⁻¹A‖, so each step multiplies the error by the
-    // factor's approximation quality; stop on target or stagnation.
-    std::vector<double> dx(n, 0.0);
-    for (int step = 0; step < p.max_refine_steps; ++step) {
-      if (!std::isfinite(rel)) break;  // NaN/Inf: refinement can't help.
-      if (cancel) cancel->check("core::certify_and_refine");
-      ops.solve(r, dx);
-      const double prev = rel;
-      for (size_t i = 0; i < n; ++i) x[i] += dx[i];
-      rel = residual_into(ops, b, x, r);
-      if (ops.emit_obs) obs::add("refine.steps");
-      ++out.refine_steps;
-      if (certified(rel, p)) break;
-      if (!std::isfinite(rel) || rel >= p.min_step_improvement * prev) {
-        if (!std::isfinite(rel) || rel > prev) {
-          // The step made things worse: roll it back.
-          for (size_t i = 0; i < n; ++i) x[i] -= dx[i];
-          rel = residual_into(ops, b, x, r);
-        }
-        break;  // Stagnated above target.
-      }
-    }
-    // Rung 2: factor-preconditioned GMRES.
-    if (!certified(rel, p) && p.escalate) {
-      if (cancel) cancel->check("core::certify_and_refine");
-      rel = escalate_rung(ops, p, b, x, rel, cancel);
-      ++out.escalations;
-    }
-  }
-
-  out.residual = rel;
-  out.certified = certified(rel, p);
-  if (ops.emit_obs) {
-    if (std::isfinite(rel)) obs::hist("verify.residual", rel);
-    obs::hist("verify.seconds", elapsed_seconds(t0));
-  }
-  return out;
-}
-
 std::vector<VerifyOutcome> certify_and_refine_block_ops(
-    const VerifyOps& ops, const Matrix& b, Matrix& x, const VerifyPolicy& p,
-    const CancelToken* cancel) {
+    const VerifyOps& ops, la::ConstMatrixView b, la::MatrixView x,
+    const VerifyPolicy& p, const CancelToken* cancel) {
   const index_t n = b.rows();
   const index_t cols = b.cols();
   std::vector<VerifyOutcome> outs(static_cast<size_t>(cols));
   const auto t0 = std::chrono::steady_clock::now();
 
-  const auto col_span = [n](const Matrix& m, index_t j) {
-    return std::span<const double>(m.col(j), static_cast<size_t>(n));
-  };
-  const auto col_span_mut = [n](Matrix& m, index_t j) {
-    return std::span<double>(m.col(j), static_cast<size_t>(n));
-  };
-
   // Rung 0: measure the whole batch with one block apply; the failing
   // set is what the ladder works on.
   Matrix r(n, cols);
   std::vector<double> rel(static_cast<size_t>(cols), 0.0);
-  std::vector<index_t> all(static_cast<size_t>(cols));
-  std::iota(all.begin(), all.end(), index_t{0});
-  measure_columns(ops, b, x, all, r, rel);
+  measure_columns(ops, b, x, all_columns(cols), r, rel);
   std::vector<index_t> failing;
   for (index_t j = 0; j < cols; ++j) {
     outs[static_cast<size_t>(j)].measured = true;
@@ -214,20 +160,11 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
   // Rung 1, batched: one narrow blocked correction solve and one block
   // re-measure per step over the still-failing columns (per-column
   // blame, batched repair).
-  std::vector<double> dxcol(static_cast<size_t>(n), 0.0);
   for (int step = 0; step < p.max_refine_steps && !failing.empty();
        ++step) {
-    if (cancel) cancel->check("core::certify_and_refine_block");
+    if (cancel) cancel->check("core::certify_and_refine");
     Matrix dxf(n, static_cast<index_t>(failing.size()));
-    if (ops.solve_block) {
-      dxf = ops.solve_block(r.select_cols(failing));
-    } else {
-      for (size_t i = 0; i < failing.size(); ++i) {
-        ops.solve(col_span(r, failing[i]), dxcol);
-        std::copy(dxcol.begin(), dxcol.end(),
-                  dxf.col(static_cast<index_t>(i)));
-      }
-    }
+    ops.solve(r.select_cols(failing), dxf);
     std::vector<double> prev(failing.size());
     for (size_t i = 0; i < failing.size(); ++i) {
       const double* dx = dxf.col(static_cast<index_t>(i));
@@ -262,10 +199,10 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
   // Rung 2, per column: a Krylov space is per-RHS.
   for (index_t j = 0; j < cols; ++j) {
     if (certified(rel[static_cast<size_t>(j)], p) || !p.escalate) continue;
-    if (cancel) cancel->check("core::certify_and_refine_block");
-    rel[static_cast<size_t>(j)] =
-        escalate_rung(ops, p, col_span(b, j), col_span_mut(x, j),
-                      rel[static_cast<size_t>(j)], cancel);
+    if (cancel) cancel->check("core::certify_and_refine");
+    rel[static_cast<size_t>(j)] = escalate_rung(
+        ops, p, b.col_span(j), x.col_span(j), rel[static_cast<size_t>(j)],
+        cancel);
     ++outs[static_cast<size_t>(j)].escalations;
   }
 
@@ -280,23 +217,70 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
   return outs;
 }
 
-namespace {
+SolveStatus finish_solve(const VerifyOps& ops, const VerifyPolicy& p,
+                         bool certify, const FactorStatus& fs,
+                         SolveCode reduced, int gmres_iterations,
+                         la::ConstMatrixView u, la::MatrixView x,
+                         const CancelToken* cancel) {
+  SolveStatus st;
+  st.lambda_effective = fs.lambda_effective;
+  st.shifted_nodes = fs.shifted_nodes;
+  st.gmres_iterations = gmres_iterations;
+  if (!all_finite(u)) {
+    st.code = SolveCode::NonFinite;
+    st.detail = "right-hand side contains NaN/Inf";
+    return st;
+  }
+  if (!all_finite(x)) {
+    st.code = SolveCode::NonFinite;
+    st.detail = fs.code == FactorCode::NonFinite
+                    ? "solution contains NaN/Inf (factorization was "
+                      "already non-finite)"
+                    : "solution contains NaN/Inf";
+    return st;
+  }
+  bool uncertified = false;
+  st.residual = 0.0;
+  if (certify) {
+    for (const VerifyOutcome& vo :
+         certify_and_refine_block_ops(ops, u, x, p, cancel)) {
+      st.residual = std::max(st.residual, vo.residual);
+      uncertified = uncertified || !vo.certified;
+      st.escalations += vo.escalations;
+    }
+  } else {
+    Matrix r(u.rows(), u.cols());
+    std::vector<double> rel(static_cast<size_t>(u.cols()), 0.0);
+    measure_columns(ops, u, x, all_columns(u.cols()), r, rel);
+    for (const double v : rel) st.residual = std::max(st.residual, v);
+  }
+  if (uncertified) {
+    st.code = SolveCode::NotConverged;
+    st.detail = "certified residual misses the verify target after the "
+                "escalation ladder";
+  } else if (st.escalations > 0) {
+    st.code = SolveCode::Escalated;
+  } else if (reduced != SolveCode::Ok) {
+    st.code = reduced;
+    st.detail = "reduced-system GMRES did not converge";
+  } else if (fs.code == FactorCode::ShiftedDiagonal) {
+    st.code = SolveCode::ShiftedDiagonal;
+  }
+  if (ops.emit_obs && st.escalations > 0)
+    obs::add("guardrail.escalations", st.escalations);
+  return st;
+}
 
 VerifyOps solver_ops(const FastDirectSolver& s, const VerifyPolicy& p,
                      const CancelToken* cancel) {
   VerifyOps ops;
   ops.apply =
       certification_operator(s.factor_tree().hmatrix(), p.op, s.lambda());
-  ops.solve = [&s, cancel](std::span<const double> in, std::span<double> y) {
+  ops.solve = [&s, cancel](la::ConstMatrixView in, la::MatrixView y) {
     s.solve(in, y, cancel);
-  };
-  ops.solve_block = [&s, cancel](const Matrix& rhs) {
-    return s.solve(rhs, cancel);
   };
   return ops;
 }
-
-}  // namespace
 
 VerifyOutcome certify_and_refine(const FastDirectSolver& s,
                                  std::span<const double> b,
@@ -304,11 +288,14 @@ VerifyOutcome certify_and_refine(const FastDirectSolver& s,
                                  std::uint64_t solve_index,
                                  const CancelToken* cancel) {
   if (!should_verify(p, solve_index)) return {};
-  return certify_and_refine_ops(solver_ops(s, p, cancel), b, x, p, cancel);
+  return certify_and_refine_block_ops(solver_ops(s, p, cancel),
+                                      la::column_view(b), la::column_view(x),
+                                      p, cancel)
+      .front();
 }
 
 std::vector<VerifyOutcome> certify_and_refine_block(
-    const FastDirectSolver& s, const Matrix& b, Matrix& x,
+    const FastDirectSolver& s, la::ConstMatrixView b, la::MatrixView x,
     const VerifyPolicy& p, std::uint64_t solve_index,
     const CancelToken* cancel) {
   if (!should_verify(p, solve_index))

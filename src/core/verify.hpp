@@ -16,15 +16,16 @@
 //   rung 2 — factor-preconditioned GMRES on A (refine.escalations),
 //            reusing GmresOptions::right_precond.
 //
-// The ladder is written against a VerifyOps callback pair so every
-// solver shares it: the sequential FastDirectSolver wrappers below,
-// and the distributed solvers, whose u/x are replicated on every rank —
+// There is one ladder, on [N × B] blocks; a single answer is its B = 1
+// call. It is written against a VerifyOps callback pair so every solver
+// shares it: the FastDirectSolver wrappers below, the hybrid solver, and
+// the distributed solvers, whose u/x are replicated on every rank —
 // each rank reaches the identical refine/stop decision, so the
 // correction solves routed through VerifyOps::solve stay collective.
-//
-// The block variants refine only failing columns (one narrow blocked
-// correction solve per step), which is what keeps certification cheap
-// for the serving path's batched solves.
+// It refines only failing columns (one narrow blocked correction solve
+// per step), which is what keeps certification cheap for the serving
+// path's batched solves. finish_solve() wraps it into the one
+// status-plus-certify epilogue every guarded solve ends with.
 #pragma once
 
 #include "core/solver.hpp"
@@ -53,46 +54,58 @@ BlockOp certification_operator(const HMatrix& h, VerifyPolicy::Operator op,
 
 /// The callbacks the ladder is generic over. `apply` is the block
 /// certification operator (certification_operator); `solve` is the
-/// approximate factor y = F⁻¹ b used for refinement corrections and as
-/// the GMRES right preconditioner. `solve_block` (optional) batches the
-/// rung-1 corrections of the block ladder; when empty, columns are
-/// corrected one solve() at a time.
+/// approximate factor Y = F⁻¹ B on [N × B] views, used for the batched
+/// refinement corrections and (at B = 1) as the GMRES right
+/// preconditioner.
 struct VerifyOps {
   BlockOp apply;
-  iter::LinOp solve;
-  std::function<Matrix(const Matrix&)> solve_block;
-  /// Emit verify.*/refine.* obs keys. Distributed callers set this on
-  /// rank 0 only so collective ladders count each event once.
+  BlockOp solve;
+  /// Emit verify.*/refine.*/guardrail.escalations obs keys. Distributed
+  /// callers set this on rank 0 only so collective ladders count each
+  /// event once.
   bool emit_obs = true;
 };
 
-/// Certify x (a solution of A x = b already computed by the caller) and
-/// walk the escalation ladder in place until certified or exhausted.
-/// Emits verify.checks/fail/residual/seconds and refine.steps/
-/// escalations (when ops.emit_obs). Honors `cancel` between rungs and
-/// inside the GMRES rung (CancelledError propagates). The sampling
-/// decision is the caller's (should_verify) — this always measures.
-VerifyOutcome certify_and_refine_ops(const VerifyOps& ops,
-                                     std::span<const double> b,
-                                     std::span<double> x,
-                                     const VerifyPolicy& p,
-                                     const CancelToken* cancel = nullptr);
-
-/// Batched variant: certify every column of x against b with one block
-/// apply, then refine ONLY the failing columns — each refinement step
-/// gathers their residuals into one narrow block, runs a single blocked
-/// correction solve, scatters the updates back and re-measures them
-/// with one block apply (per-column blame, batched repair). Columns
-/// that stagnate above target escalate individually through the GMRES
-/// rung. Returns one outcome per column.
+/// Certify every column of x (solutions of A X = B already computed by
+/// the caller) and walk the escalation ladder in place: rung 0 measures
+/// the whole batch with one block apply; rung 1 refines ONLY the failing
+/// columns — each step gathers their residuals into one narrow block,
+/// runs a single blocked correction solve, scatters the updates back and
+/// re-measures them with one block apply (per-column blame, batched
+/// repair); columns that stagnate above target escalate individually
+/// through the GMRES rung. Emits verify.checks/fail/residual/seconds and
+/// refine.steps/escalations (when ops.emit_obs). Honors `cancel` between
+/// rungs and inside the GMRES rung (CancelledError propagates). The
+/// sampling decision is the caller's (should_verify) — this always
+/// measures. Returns one outcome per column.
 std::vector<VerifyOutcome> certify_and_refine_block_ops(
-    const VerifyOps& ops, const Matrix& b, Matrix& x, const VerifyPolicy& p,
-    const CancelToken* cancel = nullptr);
+    const VerifyOps& ops, la::ConstMatrixView b, la::MatrixView x,
+    const VerifyPolicy& p, const CancelToken* cancel = nullptr);
+
+/// The status-plus-certify epilogue every guarded solve ends with, one
+/// status priority for all solvers (worst condition first):
+///   NonFinite    — U or X holds NaN/Inf (nothing is measured);
+///   NotConverged — `certify` ran the ladder and a column stayed above
+///                  the target;
+///   Escalated    — the ladder's GMRES rung ran and certified;
+///   `reduced`    — the pass's own reduced-system GMRES failure (hybrid
+///                  solvers; Ok otherwise);
+///   ShiftedDiagonal — the factor carries a guardrail shift.
+/// `residual` is the worst column's: the ladder's when `certify`, else
+/// one block measurement through ops.apply. X is refined in place.
+SolveStatus finish_solve(const VerifyOps& ops, const VerifyPolicy& p,
+                         bool certify, const FactorStatus& fs,
+                         SolveCode reduced, int gmres_iterations,
+                         la::ConstMatrixView u, la::MatrixView x,
+                         const CancelToken* cancel = nullptr);
 
 /// FastDirectSolver adapters: build VerifyOps from the solver and run
 /// the ladder, with the sampling decision folded in (`solve_index`
 /// feeds should_verify; a skipped solve returns measured == false and
 /// leaves x untouched).
+VerifyOps solver_ops(const FastDirectSolver& s, const VerifyPolicy& p,
+                     const CancelToken* cancel = nullptr);
+
 VerifyOutcome certify_and_refine(const FastDirectSolver& s,
                                  std::span<const double> b,
                                  std::span<double> x, const VerifyPolicy& p,
@@ -100,7 +113,7 @@ VerifyOutcome certify_and_refine(const FastDirectSolver& s,
                                  const CancelToken* cancel = nullptr);
 
 std::vector<VerifyOutcome> certify_and_refine_block(
-    const FastDirectSolver& s, const Matrix& b, Matrix& x,
+    const FastDirectSolver& s, la::ConstMatrixView b, la::MatrixView x,
     const VerifyPolicy& p, std::uint64_t solve_index = 0,
     const CancelToken* cancel = nullptr);
 

@@ -41,25 +41,7 @@ KernelBlockOp::KernelBlockOp(const KernelMatrix* km,
 
 void KernelBlockOp::apply(std::span<const double> u, std::span<double> y,
                           double alpha, double beta) const {
-  if (static_cast<index_t>(u.size()) != cols() ||
-      static_cast<index_t>(y.size()) != rows())
-    throw std::invalid_argument("KernelBlockOp::apply: size mismatch");
-  switch (scheme_) {
-    case Scheme::StoredGemv:
-      la::gemv(la::Trans::No, alpha, stored_, u, beta, y);
-      return;
-    case Scheme::ReevalGemm: {
-      const Matrix block = km_->block(rows_, cols_);
-      la::gemv(la::Trans::No, alpha, block, u, beta, y);
-      return;
-    }
-    case Scheme::Gsks: {
-      if (beta != 1.0)
-        for (auto& v : y) v = (beta == 0.0) ? 0.0 : beta * v;
-      gsks_apply(*km_, rows_, cols_, u, y, alpha);
-      return;
-    }
-  }
+  apply_block(la::column_view(u), la::column_view(y), alpha, beta);
 }
 
 void KernelBlockOp::apply_trans(std::span<const double> u,

@@ -50,7 +50,7 @@ class KernelBlockOp {
   const std::vector<index_t>& col_ids() const { return cols_; }
   const Matrix& stored_block() const { return stored_; }
 
-  /// y = beta*y + alpha * B * u.
+  /// y = beta*y + alpha * B * u: the B = 1 view of apply_block.
   void apply(std::span<const double> u, std::span<double> y,
              double alpha = 1.0, double beta = 0.0) const;
 

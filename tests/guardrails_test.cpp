@@ -255,8 +255,9 @@ TEST(Guardrails, HybridEscalatesWhenDirectPassMissesTolerance) {
   // and so doubles as a sound preconditioner for the escalation) so the
   // first pass misses the escalation tolerance.
   ho.gmres.max_iters = 0;
-  ho.escalate_residual_tol = 1e-7;
-  ho.escalate_max_iters = 400;
+  ho.direct.verify.mode = VerifyMode::Always;
+  ho.direct.verify.target_residual = 1e-7;
+  ho.direct.verify.escalate_max_iters = 400;
   HybridSolver hy(h, ho);
 
   auto u = random_vec(n, 14);
@@ -285,7 +286,8 @@ TEST(Guardrails, HybridCleanSolveDoesNotEscalate) {
   HybridOptions ho;
   ho.direct.lambda = 1.0;
   ho.gmres.rtol = 1e-12;
-  ho.escalate_residual_tol = 1e-6;
+  ho.direct.verify.mode = VerifyMode::Always;
+  ho.direct.verify.target_residual = 1e-6;
   HybridSolver hy(h, ho);
 
   auto u = random_vec(n, 16);
