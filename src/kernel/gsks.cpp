@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "kernel/tile.hpp"
 #include "la/gemm.hpp"
 #include "obs/obs.hpp"
 
@@ -15,68 +16,29 @@ namespace fdks::kernel {
 
 namespace {
 
-// Tile sizes: the Gram tile (kTm x kTn doubles = 32 KiB) plus the two
-// packed point panels stay L2-resident for the dimensions the paper
-// sweeps (d <= 260).
-constexpr index_t kTm = 64;
-constexpr index_t kTn = 64;
-
-// Pack points X(:, idx[i0..i0+m)) as an m-by-d row-panel so the Gram
-// tile is one plain gemm_raw (no transposes).
-void pack_points_rowmajor(const Matrix& x, std::span<const index_t> idx,
-                          index_t i0, index_t m, double* dst) {
-  const index_t d = x.rows();
-  for (index_t k = 0; k < d; ++k)
-    for (index_t i = 0; i < m; ++i)
-      dst[i + k * m] = x(k, idx[i0 + i]);
-}
-
-// Pack points X(:, idx[j0..j0+n)) as a d-by-n column panel.
-void pack_points_colmajor(const Matrix& x, std::span<const index_t> idx,
-                          index_t j0, index_t n, double* dst) {
-  const index_t d = x.rows();
-  for (index_t j = 0; j < n; ++j) {
-    const double* src = x.col(idx[j0 + j]);
-    for (index_t k = 0; k < d; ++k) dst[k + j * d] = src[k];
-  }
-}
-
 // One fused row-stripe: for rows [i0, i0+mi) of the logical block,
-// sweep all column tiles, evaluate the kernel on the Gram tile, and
-// reduce into y (and never store the block).
+// sweep all column tiles and reduce each kernel tile into y while it is
+// hot (the block is never stored). A B = 1 accumulator beats reducing
+// each tile with a 1-column gemm_raw.
 void fused_row_stripe(const KernelMatrix& km, std::span<const index_t> rows,
                       std::span<const index_t> cols,
                       std::span<const double> u, std::span<double> y,
                       double alpha, index_t i0, index_t mi) {
-  const Matrix& x = km.points();
-  const index_t d = x.rows();
   const index_t n = static_cast<index_t>(cols.size());
-  const Kernel& k = km.kernel();
+  TileEvaluator tile(km);
+  tile.set_rows(rows, i0, mi);
+  std::vector<double> ktile(static_cast<size_t>(kTileRows * kTileCols));
+  std::vector<double> acc(static_cast<size_t>(mi), 0.0);
 
-  std::vector<double> arow(static_cast<size_t>(kTm * d));
-  std::vector<double> bcol(static_cast<size_t>(d * kTn));
-  std::vector<double> gram(static_cast<size_t>(kTm * kTn));
-  std::vector<double> acc(static_cast<size_t>(kTm));
-
-  pack_points_rowmajor(x, rows, i0, mi, arow.data());
-  for (index_t i = 0; i < mi; ++i) acc[static_cast<size_t>(i)] = 0.0;
-
-  for (index_t j0 = 0; j0 < n; j0 += kTn) {
-    const index_t nj = std::min(kTn, n - j0);
-    pack_points_colmajor(x, cols, j0, nj, bcol.data());
-    // Gram tile G = Xr^T Xc (mi x nj, rank-d update).
-    la::gemm_raw(mi, nj, d, 1.0, arow.data(), mi, bcol.data(), d, 0.0,
-                 gram.data(), kTm);
-    // Fused kernel evaluation + reduction against u, tile still hot.
+  for (index_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const index_t nj = std::min(kTileCols, n - j0);
+    tile.eval(cols, j0, nj, ktile.data(), kTileRows);
     for (index_t j = 0; j < nj; ++j) {
       const double uj = u[j0 + j];
       if (uj == 0.0) continue;
-      const double nj2 = km.sqnorm(cols[j0 + j]);
-      const double* gcol = gram.data() + j * kTm;
-      for (index_t i = 0; i < mi; ++i) {
-        const double kij = k.eval_gram(gcol[i], km.sqnorm(rows[i0 + i]), nj2);
-        acc[static_cast<size_t>(i)] += kij * uj;
-      }
+      const double* kcol = ktile.data() + j * kTileRows;
+      for (index_t i = 0; i < mi; ++i)
+        acc[static_cast<size_t>(i)] += kcol[i] * uj;
     }
   }
   for (index_t i = 0; i < mi; ++i) y[i0 + i] += alpha * acc[static_cast<size_t>(i)];
@@ -97,8 +59,8 @@ void gsks_apply(const KernelMatrix& km, std::span<const index_t> rows,
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic)
 #endif
-  for (index_t i0 = 0; i0 < m; i0 += kTm) {
-    const index_t mi = std::min(kTm, m - i0);
+  for (index_t i0 = 0; i0 < m; i0 += kTileRows) {
+    const index_t mi = std::min(kTileRows, m - i0);
     fused_row_stripe(km, rows, cols, u, y, alpha, i0, mi);
   }
 }
@@ -122,35 +84,17 @@ void fused_row_stripe_block(const KernelMatrix& km,
                             std::span<const index_t> cols,
                             la::ConstMatrixView u, la::MatrixView y,
                             double alpha, index_t i0, index_t mi) {
-  const Matrix& x = km.points();
-  const index_t d = x.rows();
   const index_t n = static_cast<index_t>(cols.size());
-  const Kernel& k = km.kernel();
+  TileEvaluator tile(km);
+  tile.set_rows(rows, i0, mi);
+  std::vector<double> ktile(static_cast<size_t>(kTileRows * kTileCols));
 
-  std::vector<double> arow(static_cast<size_t>(kTm * d));
-  std::vector<double> bcol(static_cast<size_t>(d * kTn));
-  std::vector<double> gram(static_cast<size_t>(kTm * kTn));
-
-  pack_points_rowmajor(x, rows, i0, mi, arow.data());
-
-  for (index_t j0 = 0; j0 < n; j0 += kTn) {
-    const index_t nj = std::min(kTn, n - j0);
-    pack_points_colmajor(x, cols, j0, nj, bcol.data());
-    // Gram tile G = Xr^T Xc (mi x nj, rank-d update).
-    la::gemm_raw(mi, nj, d, 1.0, arow.data(), mi, bcol.data(), d, 0.0,
-                 gram.data(), kTm);
-    // Transform the Gram tile into kernel values in place (one
-    // evaluation per entry, independent of B)...
-    for (index_t j = 0; j < nj; ++j) {
-      const double nj2 = km.sqnorm(cols[j0 + j]);
-      double* gcol = gram.data() + j * kTm;
-      for (index_t i = 0; i < mi; ++i)
-        gcol[i] = k.eval_gram(gcol[i], km.sqnorm(rows[i0 + i]), nj2);
-    }
-    // ...then one GEMM against all B columns of U while the tile is hot:
+  for (index_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const index_t nj = std::min(kTileCols, n - j0);
+    tile.eval(cols, j0, nj, ktile.data(), kTileRows);
     // Y[i0:i0+mi, :] += alpha * Ktile * U[j0:j0+nj, :].
-    la::gemm_raw(mi, u.cols(), nj, alpha, gram.data(), kTm, u.col(0) + j0,
-                 u.ld(), 1.0, y.col(0) + i0, y.ld());
+    la::gemm_raw(mi, u.cols(), nj, alpha, ktile.data(), kTileRows,
+                 u.col(0) + j0, u.ld(), 1.0, y.col(0) + i0, y.ld());
   }
 }
 
@@ -163,9 +107,9 @@ void gsks_apply_block(const KernelMatrix& km, std::span<const index_t> rows,
   if (u.rows() != static_cast<index_t>(cols.size()) || y.rows() != m ||
       u.cols() != y.cols())
     throw std::invalid_argument("gsks_apply_block: shape mismatch");
-  if (u.cols() == 1) {  // Single column: the vector kernel's fused
+  if (u.cols() == 1) {  // Single column: the accumulator stripe.
     gsks_apply(km, rows, cols, u.col_span(0), y.col_span(0), alpha);
-    return;  // reduction avoids the in-place tile transform.
+    return;
   }
   obs::add("gsks.calls");
   // One evaluation per block entry regardless of B — the whole point of
@@ -175,8 +119,8 @@ void gsks_apply_block(const KernelMatrix& km, std::span<const index_t> rows,
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic)
 #endif
-  for (index_t i0 = 0; i0 < m; i0 += kTm) {
-    const index_t mi = std::min(kTm, m - i0);
+  for (index_t i0 = 0; i0 < m; i0 += kTileRows) {
+    const index_t mi = std::min(kTileRows, m - i0);
     fused_row_stripe_block(km, rows, cols, u, y, alpha, i0, mi);
   }
 }

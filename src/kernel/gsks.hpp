@@ -5,10 +5,10 @@
 // a rank-d update (Gram tile), the kernel function is applied while the
 // tile is hot in cache, and the tile is immediately reduced against u.
 // Memory traffic is O(|rows| d + |cols| d) instead of O(|rows||cols|),
-// which is the entire point of GSKS — the paper implements the same
-// fusion with AVX2/AVX-512 micro-kernels; here the tile loops are plain
-// C++ left to the auto-vectorizer, preserving the traffic asymmetry that
-// Table I and Table IV measure.
+// which is the entire point of GSKS. The tiles come from kernel/tile.hpp:
+// a gemm_raw Gram tile mapped column by column through a vector exp,
+// the step the paper's AVX2/AVX-512 micro-kernels vectorize (Table I).
+// The Gram GEMM itself runs at the baseline ISA.
 #pragma once
 
 #include <span>

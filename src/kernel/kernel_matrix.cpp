@@ -1,8 +1,11 @@
 #include "kernel/kernel_matrix.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 #include <vector>
+
+#include "kernel/tile.hpp"
 
 namespace fdks::kernel {
 
@@ -33,16 +36,11 @@ Matrix KernelMatrix::block(std::span<const index_t> rows,
   const index_t m = static_cast<index_t>(rows.size());
   const index_t n = static_cast<index_t>(cols.size());
   Matrix out(m, n);
-  const index_t d = points_.rows();
-  for (index_t j = 0; j < n; ++j) {
-    const double* xj = points_.col(cols[j]);
-    const double nj = sqnorm(cols[j]);
-    for (index_t i = 0; i < m; ++i) {
-      const double* xi = points_.col(rows[i]);
-      double xy = 0.0;
-      for (index_t k = 0; k < d; ++k) xy += xi[k] * xj[k];
-      out(i, j) = kernel_.eval_gram(xy, sqnorm(rows[i]), nj);
-    }
+  TileEvaluator tile(*this);
+  for (index_t i0 = 0; i0 < m; i0 += kTileRows) {
+    tile.set_rows(rows, i0, std::min(kTileRows, m - i0));
+    for (index_t j0 = 0; j0 < n; j0 += kTileCols)
+      tile.eval(cols, j0, std::min(kTileCols, n - j0), out.col(j0) + i0, m);
   }
   return out;
 }

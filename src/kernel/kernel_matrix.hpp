@@ -29,10 +29,12 @@ class KernelMatrix {
   const Matrix& points() const { return points_; }
   double sqnorm(index_t i) const { return sqnorms_[static_cast<size_t>(i)]; }
 
-  /// Single entry K(i, j).
+  /// Single entry K(i, j): the scalar reference (Kernel::eval_gram on
+  /// a sequential dot product) that the tile path is tested against.
   double entry(index_t i, index_t j) const;
 
-  /// Materialize K(rows, cols) as a dense |rows|-by-|cols| block.
+  /// Materialize K(rows, cols) as a dense |rows|-by-|cols| block, built
+  /// tile by tile through kernel/tile.hpp.
   Matrix block(std::span<const index_t> rows,
                std::span<const index_t> cols) const;
 

@@ -15,6 +15,12 @@ namespace fdks::kernel {
 
 enum class KernelType { Gaussian, Laplacian, Matern32, Polynomial };
 
+/// Squared distance from the Gram triple, |x|^2 + |y|^2 - 2 x.y, clamped
+/// at zero to absorb roundoff.
+inline double gram_dist2(double xdoty, double xnorm2, double ynorm2) {
+  return std::max(0.0, xnorm2 + ynorm2 - 2.0 * xdoty);
+}
+
 /// Value-type kernel descriptor. Cheap to copy; everything downstream
 /// takes it by value.
 struct Kernel {
@@ -23,29 +29,44 @@ struct Kernel {
   double shift = 1.0;      ///< c in (x.y/h^2 + c)^p.
   int degree = 2;          ///< p for the polynomial kernel.
 
-  /// Evaluate from the Gram triple. dist2 = |x|^2 + |y|^2 - 2 x.y is
-  /// clamped at zero to absorb roundoff.
+  // Each kernel's formula, split before its exp. eval_gram composes
+  // them one entry at a time; the tile path (kernel/tile.hpp) applies
+  // the same expressions to a whole column and then one vector exp.
+
+  /// Gaussian exponent: -d2 / (2 h^2).
+  double gaussian_arg(double d2) const {
+    return -0.5 * d2 / (bandwidth * bandwidth);
+  }
+  /// Laplacian exponent: -sqrt(d2) / h.
+  double laplacian_arg(double d2) const {
+    return -std::sqrt(d2) / bandwidth;
+  }
+  /// Matern-3/2 scaled distance r = sqrt(3 d2) / h; K = (1 + r) e^-r.
+  double matern32_r(double d2) const {
+    return std::sqrt(3.0 * d2) / bandwidth;
+  }
+  /// Polynomial kernel (x.y / h^2 + c)^p, which needs no exp.
+  double polynomial_gram(double xdoty) const {
+    const double base = xdoty / (bandwidth * bandwidth) + shift;
+    double acc = 1.0;
+    for (int k = 0; k < degree; ++k) acc *= base;
+    return acc;
+  }
+
+  /// Evaluate from the Gram triple, one entry: the scalar reference of
+  /// the tile path.
   double eval_gram(double xdoty, double xnorm2, double ynorm2) const {
     switch (type) {
-      case KernelType::Gaussian: {
-        const double d2 = std::max(0.0, xnorm2 + ynorm2 - 2.0 * xdoty);
-        return std::exp(-0.5 * d2 / (bandwidth * bandwidth));
-      }
-      case KernelType::Laplacian: {
-        const double d2 = std::max(0.0, xnorm2 + ynorm2 - 2.0 * xdoty);
-        return std::exp(-std::sqrt(d2) / bandwidth);
-      }
+      case KernelType::Gaussian:
+        return std::exp(gaussian_arg(gram_dist2(xdoty, xnorm2, ynorm2)));
+      case KernelType::Laplacian:
+        return std::exp(laplacian_arg(gram_dist2(xdoty, xnorm2, ynorm2)));
       case KernelType::Matern32: {
-        const double d2 = std::max(0.0, xnorm2 + ynorm2 - 2.0 * xdoty);
-        const double r = std::sqrt(3.0 * d2) / bandwidth;
+        const double r = matern32_r(gram_dist2(xdoty, xnorm2, ynorm2));
         return (1.0 + r) * std::exp(-r);
       }
-      case KernelType::Polynomial: {
-        const double base = xdoty / (bandwidth * bandwidth) + shift;
-        double acc = 1.0;
-        for (int k = 0; k < degree; ++k) acc *= base;
-        return acc;
-      }
+      case KernelType::Polynomial:
+        return polynomial_gram(xdoty);
     }
     return 0.0;  // Unreachable.
   }

@@ -92,7 +92,9 @@ void emit_named(Event::Type type, std::string_view name, std::uint64_t id,
   ev.a = a;
   ev.b = b;
   const std::size_t n = std::min(name.size(), Event::kNameCap);
-  std::memcpy(ev.name, name.data(), n);
+  // end() emits an empty name, whose data() may be null: memcpy from a
+  // null pointer is undefined even for zero bytes.
+  if (n > 0) std::memcpy(ev.name, name.data(), n);
   ev.name[n] = '\0';
   thread_buffer().emit(ev);
 }

@@ -2,7 +2,10 @@
 // summation schemes (including GSKS == stored-GEMV parity).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <random>
 
@@ -29,6 +32,28 @@ std::vector<index_t> iota_idx(index_t n, index_t start = 0) {
   std::vector<index_t> v(static_cast<size_t>(n));
   std::iota(v.begin(), v.end(), start);
   return v;
+}
+
+// K(rows, cols) one entry() at a time: the scalar reference (sequential
+// dot product, Kernel::eval_gram, std::exp) the tile path is held to.
+Matrix entry_block(const KernelMatrix& km, std::span<const index_t> rows,
+                   std::span<const index_t> cols) {
+  Matrix b(static_cast<index_t>(rows.size()),
+           static_cast<index_t>(cols.size()));
+  for (index_t j = 0; j < b.cols(); ++j)
+    for (index_t i = 0; i < b.rows(); ++i)
+      b(i, j) = km.entry(rows[static_cast<size_t>(i)],
+                         cols[static_cast<size_t>(j)]);
+  return b;
+}
+
+// Distance in units in the last place between two finite doubles of
+// the same sign (subnormals count in their own spacing).
+int64_t ulps_apart(double a, double b) {
+  int64_t ia = 0, ib = 0;
+  std::memcpy(&ia, &a, sizeof a);
+  std::memcpy(&ib, &b, sizeof b);
+  return ia > ib ? ia - ib : ib - ia;
 }
 
 // ------------------------------------------------------------ Kernels --
@@ -141,6 +166,161 @@ TEST(KernelMatrix, GaussianIsPositiveSemiDefinite) {
   (void)svd;
 }
 
+// --------------------------------------------------------- Tile path --
+
+// The exp the tile path runs (libmvec's AVX2 exp, or std::exp) stays
+// within 3 ulps of std::exp over [-745, 0] in a probe of 16M arguments;
+// the bound leaves one ulp of slack. Matern-3/2 multiplies the exp by
+// (1 + r), one more rounding.
+constexpr int64_t kExpUlps = 4;
+constexpr int64_t kMaternUlps = kExpUlps + 1;
+
+std::vector<Kernel> all_kernel_types() {
+  return {Kernel::gaussian(0.8), Kernel::laplacian(1.1), Kernel::matern32(0.9),
+          Kernel::polynomial(1.2, 0.5, 3)};
+}
+
+// First-order sensitivity |dK/dG| of each kernel to its Gram entry G =
+// x.y at squared distance d2 (d2 = |x|^2 + |y|^2 - 2G).
+double gram_sensitivity(const Kernel& k, double g, double d2) {
+  const double h2 = k.bandwidth * k.bandwidth;
+  switch (k.type) {
+    case KernelType::Gaussian:
+      return std::exp(k.gaussian_arg(d2)) / h2;
+    case KernelType::Laplacian:
+      return std::exp(k.laplacian_arg(d2)) / (k.bandwidth * std::sqrt(d2));
+    case KernelType::Matern32:
+      return 3.0 * std::exp(-k.matern32_r(d2)) / h2;
+    case KernelType::Polynomial:
+      return k.degree * std::pow(std::abs(g / h2 + k.shift), k.degree - 1) /
+             h2;
+  }
+  return 0.0;
+}
+
+// KernelMatrix::block against entry() on full and partial tiles, for all
+// four kernels. Rows and columns are disjoint point sets with |x| ~ 1.
+// For d <= 256 the Gram tile is bitwise the sequential dot product, so
+// the polynomial kernel (no exp) matches bitwise and the exp kernels
+// within the exp's ulps. At d = 300 gemm_raw sums in 256-deep chunks, so
+// each Gram entry may move by up to 2 gamma_d |x||y| (gamma_d = d eps /
+// (1 - d eps), both summation orders' bound), times the kernel's
+// sensitivity to it.
+TEST(TileBlock, MatchesEntriesOnPartialTiles) {
+  const index_t sizes[] = {1, 63, 64, 65, 130};
+  for (index_t d : {1, 8, 64, 300}) {
+    Matrix pts = random_points(d, 260, static_cast<uint64_t>(100 + d));
+    for (index_t j = 0; j < pts.cols(); ++j)
+      for (index_t i = 0; i < d; ++i)
+        pts(i, j) /= std::sqrt(static_cast<double>(d));
+    const double eps = DBL_EPSILON / 2;
+    const double gamma_d = d * eps / (1.0 - d * eps);
+    for (const Kernel& k : all_kernel_types()) {
+      KernelMatrix km(pts, k);
+      for (index_t m : sizes)
+        for (index_t n : sizes) {
+          const auto rows = iota_idx(m);
+          const auto cols = iota_idx(n, 130);
+          const Matrix b = km.block(rows, cols);
+          const Matrix ref = entry_block(km, rows, cols);
+          ASSERT_EQ(b.rows(), m);
+          ASSERT_EQ(b.cols(), n);
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i) {
+              const double got = b(i, j), want = ref(i, j);
+              if (d <= 256 && k.type == KernelType::Polynomial) {
+                ASSERT_EQ(got, want) << k.name() << " d=" << d;
+              } else if (d <= 256) {
+                const int64_t bound = k.type == KernelType::Matern32
+                                          ? kMaternUlps
+                                          : kExpUlps;
+                ASSERT_LE(ulps_apart(got, want), bound)
+                    << k.name() << " d=" << d << " (" << i << "," << j << ")";
+              } else {
+                const double xn = std::sqrt(km.sqnorm(rows[i]));
+                const double yn = std::sqrt(km.sqnorm(cols[j]));
+                double g = 0.0;
+                for (index_t p = 0; p < d; ++p)
+                  g += pts(p, rows[i]) * pts(p, cols[j]);
+                const double d2 =
+                    gram_dist2(g, km.sqnorm(rows[i]), km.sqnorm(cols[j]));
+                const double tol =
+                    kMaternUlps * DBL_EPSILON * std::abs(want) +
+                    gram_sensitivity(k, g, d2) * 2.0 * gamma_d * xn * yn;
+                ASSERT_NEAR(got, want, tol) << k.name() << " d=" << d;
+              }
+            }
+        }
+    }
+  }
+}
+
+TEST(TileBlock, RadialDiagonalIsExactlyOne) {
+  // A point's distance to itself is exactly 0 at every d, also past the
+  // 256-deep GEMM chunk, so K(i, i) = 1 bitwise (the Gaussian's diagonal
+  // is within 1e-14 of 1 a fortiori). Unit-variance points (|x|^2 ~ d)
+  // are the hard case for the Laplacian, whose sqrt magnifies a
+  // roundoff-sized distance.
+  for (index_t d : {1, 8, 64, 300}) {
+    const Matrix pts = random_points(d, 130, static_cast<uint64_t>(200 + d));
+    for (const Kernel& k : {Kernel::gaussian(0.8), Kernel::laplacian(1.0),
+                            Kernel::matern32(0.9)}) {
+      KernelMatrix km(pts, k);
+      const auto idx = iota_idx(130);
+      const Matrix b = km.block(idx, idx);
+      for (index_t i = 0; i < 130; ++i)
+        ASSERT_EQ(b(i, i), 1.0) << k.name() << " d=" << d << " i=" << i;
+    }
+  }
+}
+
+TEST(TileBlock, SymmetricBlockIsBitwiseSymmetric) {
+  // Every entry's exp runs through the same vector routine, the partial
+  // tiles' tails included, so K(I, I) is exactly symmetric.
+  Matrix pts = random_points(8, 130, 300);
+  for (const Kernel& k : all_kernel_types()) {
+    KernelMatrix km(pts, k);
+    const auto idx = iota_idx(130);
+    const Matrix b = km.block(idx, idx);
+    for (index_t j = 0; j < 130; ++j)
+      for (index_t i = 0; i < j; ++i)
+        ASSERT_EQ(b(i, j), b(j, i)) << k.name() << " (" << i << "," << j << ")";
+  }
+}
+
+TEST(TileBlock, FarFieldUnderflowIsZeroOrSubnormal) {
+  // 1-D points: 65 near the origin and 130 spread from where the
+  // Gaussian's exponent reaches the subnormal range (-708) out past
+  // total underflow (-745) and on to 9300. No exp kernel may produce a
+  // NaN, an Inf or a normal number where the reference underflows.
+  Matrix pts(1, 195);
+  for (index_t i = 0; i < 65; ++i) pts(0, i) = 1e-3 * static_cast<double>(i);
+  for (index_t j = 0; j < 130; ++j)
+    pts(0, 65 + j) = j < 100 ? 37.6 + 0.02 * static_cast<double>(j)
+                             : 100.0 * static_cast<double>(j - 99) * 3.0;
+  const auto rows = iota_idx(65);
+  const auto cols = iota_idx(130, 65);
+  for (const Kernel& k : {Kernel::gaussian(1.0), Kernel::laplacian(0.053),
+                          Kernel::matern32(0.09)}) {
+    KernelMatrix km(pts, k);
+    const Matrix b = km.block(rows, cols);
+    const Matrix ref = entry_block(km, rows, cols);
+    int underflowed = 0;
+    for (index_t j = 0; j < 130; ++j)
+      for (index_t i = 0; i < 65; ++i) {
+        const double v = b(i, j);
+        ASSERT_TRUE(std::isfinite(v)) << k.name();
+        ASSERT_GE(v, 0.0) << k.name();
+        if (ref(i, j) < DBL_MIN) {
+          ++underflowed;
+          EXPECT_TRUE(v == 0.0 || std::fpclassify(v) == FP_SUBNORMAL)
+              << k.name() << " " << v;
+        }
+      }
+    EXPECT_GT(underflowed, 0) << k.name();
+  }
+}
+
 // ----------------------------------------------------------- GSKS -----
 
 class GsksParity : public ::testing::TestWithParam<std::tuple<int, int, int>> {
@@ -161,13 +341,21 @@ TEST_P(GsksParity, MatchesMaterializedGemv) {
   Matrix block = km.block(rows, cols);
   la::gemv(la::Trans::No, 1.0, block, u, 1.0, y_ref);
 
+  // km.block shares the tile code under test; entry() does not.
+  std::vector<double> y_entry(static_cast<size_t>(m), 0.25);
+  la::gemv(la::Trans::No, 1.0, entry_block(km, rows, cols), u, 1.0, y_entry);
+
   std::vector<double> y_gsks(static_cast<size_t>(m), 0.25);
   gsks_apply(km, rows, cols, u, y_gsks);
 
-  for (index_t i = 0; i < m; ++i)
+  for (index_t i = 0; i < m; ++i) {
     EXPECT_NEAR(y_gsks[static_cast<size_t>(i)], y_ref[static_cast<size_t>(i)],
                 1e-11 * n)
         << "d=" << d << " m=" << m << " n=" << n;
+    EXPECT_NEAR(y_gsks[static_cast<size_t>(i)],
+                y_entry[static_cast<size_t>(i)], 1e-11 * n)
+        << "d=" << d << " m=" << m << " n=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -205,6 +393,8 @@ TEST(Gsks, BlockApplyMatchesColumnwise) {
   gsks_apply_block(km, rows, cols, u, y);
   Matrix exact = la::matmul(km.block(rows, cols), u);
   EXPECT_LT(la::max_abs_diff(y, exact), 1e-11);
+  Matrix from_entries = la::matmul(entry_block(km, rows, cols), u);
+  EXPECT_LT(la::max_abs_diff(y, from_entries), 1e-11);
 }
 
 // Counters are globally gated; flip them on for the duration of a test.

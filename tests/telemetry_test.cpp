@@ -326,10 +326,17 @@ TEST(MetricsExporter, ConcurrentScrapeUnderServingLoad) {
     serve::ServeOptions so;
     so.batch_max = 4;
     serve::ServeEngine engine(fx.solver, so);
+    // Hold the burst until the exporter has counted a scrape: a
+    // 24-request burst can otherwise finish before the first one lands.
+    engine.pause();
     std::vector<std::future<serve::ServeResult>> futs;
     for (int r = 0; r < 24; ++r)
       futs.push_back(engine.submit(
           random_rhs(fx.h.n(), static_cast<uint64_t>(400 + r))));
+    const auto deadline = steady_clock::now() + std::chrono::seconds(10);
+    while (exporter.scrapes() < 1 && steady_clock::now() < deadline)
+      std::this_thread::sleep_for(milliseconds(1));
+    engine.resume();
     for (auto& f : futs) EXPECT_EQ(f.get().code, serve::ServeCode::Ok);
     engine.drain();
   }
