@@ -67,7 +67,6 @@ struct NodeSkeleton {
 };
 
 struct BuildStats {
-  double tree_seconds = 0.0;
   double knn_seconds = 0.0;
   double skeleton_seconds = 0.0;
   index_t max_rank_used = 0;

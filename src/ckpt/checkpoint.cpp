@@ -390,4 +390,19 @@ bool try_load_factor_tree(const std::string& path, core::FactorTree& ft,
   }
 }
 
+void load_or_factorize(core::FactorTree& ft, std::span<const index_t> roots,
+                       const std::string& file, const std::string& scope,
+                       const std::function<void()>& factorize) {
+  const std::string& dir = ft.options().checkpoint_dir;
+  if (dir.empty()) {
+    factorize();
+    return;
+  }
+  ensure_dir(dir);
+  const std::string path = join(dir, file);
+  if (try_load_factor_tree(path, ft, roots, scope)) return;
+  factorize();
+  save_factor_tree(path, ft, roots, scope);
+}
+
 }  // namespace fdks::ckpt

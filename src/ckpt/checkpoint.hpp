@@ -32,6 +32,7 @@
 // timing and outcomes land in the obs registry ("ckpt.*").
 #pragma once
 
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -118,5 +119,14 @@ bool try_load_factor_tree(const std::string& path, core::FactorTree& ft,
                           std::span<const index_t> roots,
                           const std::string& scope,
                           std::string* diagnostic = nullptr);
+
+/// The checkpoint-or-factorize step of every solver's factorization.
+/// With ft.options().checkpoint_dir set, restore the subtrees rooted at
+/// `roots` from `<dir>/<file>` when a valid checkpoint for `scope`
+/// exists there, otherwise run `factorize` and save its result to that
+/// file. With no checkpoint directory it just runs `factorize`.
+void load_or_factorize(core::FactorTree& ft, std::span<const index_t> roots,
+                       const std::string& file, const std::string& scope,
+                       const std::function<void()>& factorize);
 
 }  // namespace fdks::ckpt

@@ -60,25 +60,16 @@ DistributedHybridSolver::DistributedHybridSolver(const HMatrix& h,
   // Checkpoint/restart (core/recovery.hpp): each rank persists the
   // factors of all its frontier subtrees in one file; a supervised
   // re-execution resumes from it instead of re-factorizing.
-  const SolverOptions& dopts = ft_.options();
-  if (!dopts.checkpoint_dir.empty()) {
-    ckpt::ensure_dir(dopts.checkpoint_dir);
-    const std::string scope = "dist-hybrid p=" + std::to_string(p) +
-                              " rank=" + std::to_string(comm_.rank());
-    const std::string path =
-        ckpt::join(dopts.checkpoint_dir,
-                   "factors_hybrid_p" + std::to_string(p) + "_r" +
-                       std::to_string(comm_.rank()) + ".ckpt");
-    std::string diag;
-    if (!ckpt::try_load_factor_tree(path, ft_, local_roots, scope, &diag)) {
-      for (index_t a : local_roots)
-        ft_.factorize_subtree(a, /*compute_phat=*/true);
-      ckpt::save_factor_tree(path, ft_, local_roots, scope);
-    }
-  } else {
-    for (index_t a : local_roots)
-      ft_.factorize_subtree(a, /*compute_phat=*/true);
-  }
+  ckpt::load_or_factorize(
+      ft_, local_roots,
+      "factors_hybrid_p" + std::to_string(p) + "_r" +
+          std::to_string(comm_.rank()) + ".ckpt",
+      "dist-hybrid p=" + std::to_string(p) +
+          " rank=" + std::to_string(comm_.rank()),
+      [&] {
+        for (index_t a : local_roots)
+          ft_.factorize_subtree(a, /*compute_phat=*/true);
+      });
   factor_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

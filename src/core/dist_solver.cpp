@@ -142,25 +142,15 @@ void DistributedSolver::factorize() {
   // bound and cheap relative to the local factorization, so it simply
   // re-runs.
   obs::ScopedTimer t_local("local_factor");
-  const SolverOptions& sopts = ft_.options();
-  if (!sopts.checkpoint_dir.empty()) {
-    ckpt::ensure_dir(sopts.checkpoint_dir);
-    const std::string scope = "dist p=" + std::to_string(comm_.size()) +
-                              " rank=" + std::to_string(comm_.rank()) +
-                              " root=" + std::to_string(local_root_);
-    const std::string path = ckpt::join(
-        sopts.checkpoint_dir,
-        "factors_dist_p" + std::to_string(comm_.size()) + "_r" +
-            std::to_string(comm_.rank()) + ".ckpt");
-    const index_t roots[] = {local_root_};
-    std::string diag;
-    if (!ckpt::try_load_factor_tree(path, ft_, roots, scope, &diag)) {
-      ft_.factorize_subtree(local_root_, /*compute_phat=*/logp_ > 0);
-      ckpt::save_factor_tree(path, ft_, roots, scope);
-    }
-  } else {
-    ft_.factorize_subtree(local_root_, /*compute_phat=*/logp_ > 0);
-  }
+  const index_t local_roots[] = {local_root_};
+  ckpt::load_or_factorize(
+      ft_, local_roots,
+      "factors_dist_p" + std::to_string(comm_.size()) + "_r" +
+          std::to_string(comm_.rank()) + ".ckpt",
+      "dist p=" + std::to_string(comm_.size()) +
+          " rank=" + std::to_string(comm_.rank()) +
+          " root=" + std::to_string(local_root_),
+      [&] { ft_.factorize_subtree(local_root_, /*compute_phat=*/logp_ > 0); });
   Matrix phat_local =
       logp_ > 0 ? ft_.dense_phat(local_root_) : Matrix();
   t_local.stop();

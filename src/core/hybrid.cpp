@@ -20,18 +20,9 @@ namespace {
 /// otherwise factorize and persist. See SolverOptions::checkpoint_dir.
 void factorize_roots_ckpt(FactorTree& ft, std::span<const index_t> roots,
                           bool compute_phat) {
-  const SolverOptions& opts = ft.options();
-  if (opts.checkpoint_dir.empty()) {
+  ckpt::load_or_factorize(ft, roots, "factors_hybrid.ckpt", "hybrid", [&] {
     for (index_t a : roots) ft.factorize_subtree(a, compute_phat);
-    return;
-  }
-  ckpt::ensure_dir(opts.checkpoint_dir);
-  const std::string path =
-      ckpt::join(opts.checkpoint_dir, "factors_hybrid.ckpt");
-  std::string diag;
-  if (ckpt::try_load_factor_tree(path, ft, roots, "hybrid", &diag)) return;
-  for (index_t a : roots) ft.factorize_subtree(a, compute_phat);
-  ckpt::save_factor_tree(path, ft, roots, "hybrid");
+  });
 }
 
 }  // namespace

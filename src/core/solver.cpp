@@ -32,24 +32,14 @@ void run_factorize(FactorTree& ft, index_t root, bool parallel_tree) {
   }
 }
 
-/// Checkpoint-aware factorization: resume from a valid checkpoint when
-/// one matches (same points/kernel/config/options/lambda — the
-/// fingerprint guards all of it), otherwise factorize and persist. The
-/// sequential full-tree factorization uses scope "seq".
-void run_factorize_ckpt(FactorTree& ft, index_t root, bool parallel_tree) {
-  const SolverOptions& opts = ft.options();
-  if (opts.checkpoint_dir.empty()) {
-    run_factorize(ft, root, parallel_tree);
-    return;
-  }
-  ckpt::ensure_dir(opts.checkpoint_dir);
-  const std::string path =
-      ckpt::join(opts.checkpoint_dir, "factors_seq.ckpt");
-  const index_t roots[] = {root};
-  std::string diag;
-  if (ckpt::try_load_factor_tree(path, ft, roots, "seq", &diag)) return;
-  run_factorize(ft, root, parallel_tree);
-  ckpt::save_factor_tree(path, ft, roots, "seq");
+/// Checkpoint-aware factorization (scope "seq"): resume from a valid
+/// checkpoint when one matches (the fingerprint guards the points,
+/// kernel, config, options and lambda), otherwise factorize and persist.
+void run_factorize_ckpt(FactorTree& ft) {
+  const index_t roots[] = {ft.hmatrix().tree().root()};
+  ckpt::load_or_factorize(ft, roots, "factors_seq.ckpt", "seq", [&] {
+    run_factorize(ft, roots[0], ft.options().parallel_tree);
+  });
 }
 
 }  // namespace
@@ -57,7 +47,7 @@ void run_factorize_ckpt(FactorTree& ft, index_t root, bool parallel_tree) {
 FastDirectSolver::FastDirectSolver(const HMatrix& h, SolverOptions opts)
     : ft_(h, opts) {
   obs::ScopedTimer t("factorize");
-  run_factorize_ckpt(ft_, h.tree().root(), opts.parallel_tree);
+  run_factorize_ckpt(ft_);
   factor_seconds_ = t.stop();
   sealed_checksum_ = ft_.content_checksum();
 }
@@ -65,8 +55,7 @@ FastDirectSolver::FastDirectSolver(const HMatrix& h, SolverOptions opts)
 void FastDirectSolver::refactorize(double lambda) {
   obs::ScopedTimer t("factorize");
   ft_.set_lambda(lambda);
-  run_factorize_ckpt(ft_, ft_.hmatrix().tree().root(),
-                     ft_.options().parallel_tree);
+  run_factorize_ckpt(ft_);
   factor_seconds_ = t.stop();
   sealed_checksum_ = ft_.content_checksum();
 }

@@ -65,14 +65,6 @@ void gsks_apply(const KernelMatrix& km, std::span<const index_t> rows,
   }
 }
 
-void gsks_apply_trans(const KernelMatrix& km, std::span<const index_t> rows,
-                      std::span<const index_t> cols,
-                      std::span<const double> u, std::span<double> y,
-                      double alpha) {
-  // K(rows, cols)^T = K(cols, rows) by kernel symmetry.
-  gsks_apply(km, cols, rows, u, y, alpha);
-}
-
 namespace {
 
 // Block-RHS row-stripe: evaluate each kernel tile once, then reduce it

@@ -22,12 +22,6 @@ void gsks_apply(const KernelMatrix& km, std::span<const index_t> rows,
                 std::span<const index_t> cols, std::span<const double> u,
                 std::span<double> y, double alpha = 1.0);
 
-/// y += alpha * K(rows, cols)^T * u. Sizes: |y| = |cols|, |u| = |rows|.
-void gsks_apply_trans(const KernelMatrix& km, std::span<const index_t> rows,
-                      std::span<const index_t> cols,
-                      std::span<const double> u, std::span<double> y,
-                      double alpha = 1.0);
-
 /// Y += alpha * K(rows, cols) * U for a block of right-hand sides,
 /// fused over the whole block: each kernel tile is evaluated ONCE and
 /// multiplied against all B columns as a GEMM, so the per-apply kernel

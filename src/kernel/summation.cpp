@@ -44,30 +44,6 @@ void KernelBlockOp::apply(std::span<const double> u, std::span<double> y,
   apply_block(la::column_view(u), la::column_view(y), alpha, beta);
 }
 
-void KernelBlockOp::apply_trans(std::span<const double> u,
-                                std::span<double> y, double alpha,
-                                double beta) const {
-  if (static_cast<index_t>(u.size()) != rows() ||
-      static_cast<index_t>(y.size()) != cols())
-    throw std::invalid_argument("KernelBlockOp::apply_trans: size mismatch");
-  switch (scheme_) {
-    case Scheme::StoredGemv:
-      la::gemv(la::Trans::Yes, alpha, stored_, u, beta, y);
-      return;
-    case Scheme::ReevalGemm: {
-      const Matrix block = km_->block(rows_, cols_);
-      la::gemv(la::Trans::Yes, alpha, block, u, beta, y);
-      return;
-    }
-    case Scheme::Gsks: {
-      if (beta != 1.0)
-        for (auto& v : y) v = (beta == 0.0) ? 0.0 : beta * v;
-      gsks_apply_trans(*km_, rows_, cols_, u, y, alpha);
-      return;
-    }
-  }
-}
-
 void KernelBlockOp::apply_block(la::ConstMatrixView u, la::MatrixView y,
                                 double alpha, double beta) const {
   if (u.rows() != cols() || y.rows() != rows() || u.cols() != y.cols())

@@ -54,10 +54,6 @@ class KernelBlockOp {
   void apply(std::span<const double> u, std::span<double> y,
              double alpha = 1.0, double beta = 0.0) const;
 
-  /// y = beta*y + alpha * B^T * u.
-  void apply_trans(std::span<const double> u, std::span<double> y,
-                   double alpha = 1.0, double beta = 0.0) const;
-
   /// Y = beta*Y + alpha * B * U for a block of right-hand sides, in
   /// place on views. One GEMM (stored / re-evaluated block) or one fused
   /// GSKS block apply — the operator's matrices are streamed once for

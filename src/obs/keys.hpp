@@ -140,6 +140,7 @@
   X(kServeCacheMiss,          "serve.cache_miss",            Counter)      \
   X(kServeDegraded,           "serve.degraded",              Counter)      \
   X(kServeExpired,            "serve.expired",               Counter)      \
+  X(kServeFailed,             "serve.failed",                Counter)      \
   X(kServePoison,             "serve.poison",                Counter)      \
   X(kServeRequests,           "serve.requests",              Counter)      \
   X(kServeRequestSeconds,     "serve.request_seconds",       Histogram)    \

@@ -30,6 +30,25 @@ std::uint64_t ns_since_epoch(steady_clock::time_point tp) {
           .count());
 }
 
+/// A wrong-length rhs is a caller bug, not poison: the one InvalidRhs
+/// rejection that counts in no outcome counter.
+constexpr const char* kSizeMismatch = "size_mismatch";
+
+/// Fold a batch's (or a rejection's) tally into the engine's Stats.
+void accumulate(ServeEngine::Stats& s, const ServeEngine::Stats& d) {
+  s.requests += d.requests;
+  s.batches += d.batches;
+  s.shed += d.shed;
+  s.expired += d.expired;
+  s.degraded += d.degraded;
+  s.poisoned += d.poisoned;
+  s.failed += d.failed;
+  s.verified += d.verified;
+  s.refined += d.refined;
+  s.escalated += d.escalated;
+  s.max_batch = std::max(s.max_batch, d.max_batch);
+}
+
 }  // namespace
 
 ServeResult degraded_gmres_solve(const core::HMatrix& h, double lambda,
@@ -84,20 +103,20 @@ void ServeEngine::shutdown() {
   // Fail any requests the worker never picked up. The queue is swapped
   // out under the lock so a submit() that lost the race to stop_ (it
   // throws ShuttingDown without enqueueing) can never be dropped.
-  std::deque<Request> leftover;
+  std::deque<RequestRecord> leftover;
   {
     std::lock_guard<std::mutex> lk(mu_);
     leftover.swap(queue_);
   }
-  for (Request& r : leftover) {
-    if (opts_.event_log) {
-      opts_.event_log->emit(r.id, obs::events::kEvFailed,
-                            {{"code", "shutting_down"}});
-    }
-    r.promise.set_exception(std::make_exception_ptr(ServeError(
-        ServeCode::ShuttingDown,
-        "ServeEngine: engine shut down before solve")));
+  const steady_clock::time_point now = steady_clock::now();
+  Stats tally;
+  for (RequestRecord& r : leftover) {
+    r.code = ServeCode::ShuttingDown;
+    r.detail = "engine shut down before solve";
+    finish(r, now, tally);
   }
+  std::lock_guard<std::mutex> lk(mu_);
+  accumulate(stats_, tally);
 }
 
 index_t ServeEngine::n() const {
@@ -117,50 +136,26 @@ std::future<ServeResult> ServeEngine::submit(
   // Every submission gets an id, even ones about to be rejected: the
   // event log's contract is that each submitted request shows up with
   // exactly one terminal event.
-  const std::uint64_t id = obs::next_request_id();
+  RequestRecord r;
+  r.id = obs::next_request_id();
+  r.rhs = std::move(rhs);
+  r.deadline = deadline;
   // Validate before counting (the src/la convention): a rejected
   // request must not perturb serve.requests or Stats::requests.
-  if (static_cast<index_t>(rhs.size()) != n()) {
-    if (opts_.event_log) {
-      opts_.event_log->emit(id, obs::events::kEvFailed,
-                            {{"code", "invalid_rhs"},
-                             {"reason", "size_mismatch"}});
-    }
-    throw ServeError(ServeCode::InvalidRhs,
-                     "ServeEngine::submit: rhs size mismatch");
-  }
-  if (opts_.validate_rhs &&
-      !core::all_finite(std::span<const double>(rhs.data(), rhs.size()))) {
-    obs::add("serve.poison");
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.poisoned;
-    }
-    if (opts_.event_log) {
-      opts_.event_log->emit(id, obs::events::kEvFailed,
-                            {{"code", "invalid_rhs"},
-                             {"reason", "nonfinite_rhs"}});
-    }
-    throw ServeError(ServeCode::InvalidRhs,
-                     "ServeEngine::submit: rhs contains NaN/Inf");
-  }
-  Request r;
-  r.id = id;
-  r.rhs = std::move(rhs);
+  if (static_cast<index_t>(r.rhs.size()) != n())
+    reject(r, ServeCode::InvalidRhs, kSizeMismatch, "rhs size mismatch");
+  if (opts_.validate_rhs && !core::all_finite(std::span<const double>(r.rhs)))
+    reject(r, ServeCode::InvalidRhs, "nonfinite_rhs", "rhs contains NaN/Inf");
   r.enqueued = steady_clock::now();
-  r.deadline = deadline;
   std::future<ServeResult> fut = r.promise.get_future();
-  ServeCode reject = ServeCode::Ok;
+  ServeCode refused = ServeCode::Ok;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) {
-      reject = ServeCode::ShuttingDown;
+      refused = ServeCode::ShuttingDown;
     } else if (opts_.queue_max > 0 && queue_.size() >= opts_.queue_max) {
-      ++stats_.shed;
-      obs::add("serve.shed");
-      reject = ServeCode::Overloaded;
+      refused = ServeCode::Overloaded;
     } else {
-      queue_.push_back(std::move(r));
       // Counter and stats field are bumped in the same critical section,
       // after every rejection path, so they cannot diverge.
       ++stats_.requests;
@@ -170,30 +165,133 @@ std::future<ServeResult> ServeEngine::submit(
       // precedes the batched/terminal events. The submit-side half of
       // the request's trace flow is stamped here too.
       if (obs::trace::enabled()) {
-        obs::trace::flow_send(id, /*peer=*/0, /*tag=*/0);
+        obs::trace::flow_send(r.id, /*peer=*/0, /*tag=*/0);
       }
       if (opts_.event_log) {
-        opts_.event_log->emit(id, obs::events::kEvAdmitted);
+        opts_.event_log->emit(r.id, obs::events::kEvAdmitted);
       }
+      queue_.push_back(std::move(r));
     }
   }
-  if (reject == ServeCode::Overloaded) {
-    if (opts_.event_log) {
-      opts_.event_log->emit(id, obs::events::kEvShed);
-    }
-    throw ServeError(ServeCode::Overloaded,
-                     "ServeEngine::submit: queue full, request shed");
-  }
-  if (reject == ServeCode::ShuttingDown) {
-    if (opts_.event_log) {
-      opts_.event_log->emit(id, obs::events::kEvFailed,
-                            {{"code", "shutting_down"}});
-    }
-    throw ServeError(ServeCode::ShuttingDown,
-                     "ServeEngine::submit: engine is stopping");
-  }
+  if (refused == ServeCode::Overloaded)
+    reject(r, refused, nullptr, "queue full, request shed");
+  if (refused == ServeCode::ShuttingDown)
+    reject(r, refused, nullptr, "engine is stopping");
   cv_.notify_all();
   return fut;
+}
+
+void ServeEngine::reject(RequestRecord& r, ServeCode code,
+                         const char* reason, const char* what) {
+  r.code = code;
+  r.reason = reason;
+  Stats tally;
+  conclude(r, tally);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    accumulate(stats_, tally);
+  }
+  throw ServeError(code, std::string("ServeEngine::submit: ") + what);
+}
+
+void ServeEngine::conclude(const RequestRecord& r, Stats& tally) const {
+  // The one outcome counter each final code bumps, beside its Stats
+  // twin. Ok and ShuttingDown count in none.
+  switch (r.code) {
+    case ServeCode::Overloaded:
+      obs::add("serve.shed");
+      ++tally.shed;
+      break;
+    case ServeCode::DeadlineExceeded:
+      obs::add("serve.expired");
+      ++tally.expired;
+      break;
+    case ServeCode::Degraded:
+      obs::add("serve.degraded");
+      ++tally.degraded;
+      break;
+    case ServeCode::InvalidRhs:
+    case ServeCode::PoisonRhs:
+      if (r.reason == kSizeMismatch) break;
+      obs::add("serve.poison");
+      ++tally.poisoned;
+      break;
+    case ServeCode::SolveFailed:
+      obs::add("serve.failed");
+      ++tally.failed;
+      break;
+    default:
+      break;
+  }
+  if (!opts_.event_log) return;
+  obs::EventLog& log = *opts_.event_log;
+  const std::uint64_t b = r.batch_id;
+  switch (r.code) {
+    case ServeCode::Ok:
+      log.emit(r.id, obs::events::kEvSolved,
+               {{"residual", r.residual},
+                {"verified", r.residual >= 0.0},
+                {"batch_id", b}});
+      break;
+    case ServeCode::Degraded:
+      log.emit(r.id, obs::events::kEvDegraded,
+               {{"residual", r.residual}, {"batch_id", b}});
+      break;
+    case ServeCode::Overloaded:
+      log.emit(r.id, obs::events::kEvShed);
+      break;
+    case ServeCode::DeadlineExceeded:
+      if (b != 0)
+        log.emit(r.id, obs::events::kEvExpired, {{"batch_id", b}});
+      else
+        log.emit(r.id, obs::events::kEvExpired, {{"reason", r.reason}});
+      break;
+    default:
+      if (b != 0)
+        log.emit(r.id, obs::events::kEvFailed,
+                 {{"code", to_string(r.code)}, {"batch_id", b}});
+      else if (r.reason != nullptr)
+        log.emit(r.id, obs::events::kEvFailed,
+                 {{"code", to_string(r.code)}, {"reason", r.reason}});
+      else
+        log.emit(r.id, obs::events::kEvFailed, {{"code", to_string(r.code)}});
+      break;
+  }
+}
+
+void ServeEngine::finish(RequestRecord& r, steady_clock::time_point now,
+                         Stats& tally) {
+  // A request whose own deadline passed during the solve fails even if
+  // the batch (run under the *latest* member deadline) produced a value
+  // for it.
+  if (r.deadline <= now &&
+      (r.code == ServeCode::Ok || r.code == ServeCode::Degraded)) {
+    r.code = ServeCode::DeadlineExceeded;
+    r.detail = "solve finished after the request deadline";
+  }
+  // Exactly one terminal event per request, before the promise is
+  // fulfilled, so an event-log reader that reacts to the future never
+  // races a missing line.
+  conclude(r, tally);
+  if (r.verify.measured) ++tally.verified;
+  if (r.verify.refine_steps > 0) ++tally.refined;
+  if (r.verify.escalations > 0) ++tally.escalated;
+  const double lat = std::chrono::duration<double>(now - r.enqueued).count();
+  obs::hist("serve.request_seconds", lat);
+  const bool error =
+      r.code != ServeCode::Ok && r.code != ServeCode::Degraded;
+  if (opts_.slo) opts_.slo->record(lat, error);
+  if (opts_.tail_trace) {
+    opts_.tail_trace->observe(r.id, lat, error, ns_since_epoch(r.enqueued),
+                              ns_since_epoch(now));
+  }
+  if (error) {
+    r.promise.set_exception(std::make_exception_ptr(
+        ServeError(r.code, "ServeEngine: " + r.detail)));
+  } else {
+    r.promise.set_value(ServeResult{r.code, std::move(r.x), r.residual,
+                                    std::move(r.detail)});
+  }
 }
 
 void ServeEngine::pause() {
@@ -228,9 +326,48 @@ ServeEngine::Stats ServeEngine::stats() const {
   return stats_;
 }
 
-void ServeEngine::solve_range(std::vector<Request>& reqs, size_t lo,
-                              size_t hi, const core::CancelToken& tok,
-                              std::vector<Outcome>& out, BatchTally& tally) {
+void ServeEngine::run_batch(std::vector<RequestRecord>& reqs, bool degraded,
+                            Stats& tally) {
+  const std::uint64_t batch_id = ++batch_seq_;
+  const index_t width = static_cast<index_t>(reqs.size());
+  // The batch runs under the latest deadline of its members: work keeps
+  // going as long as any member could still use the result, and aborts
+  // cooperatively once none can.
+  steady_clock::time_point latest = steady_clock::time_point::min();
+  for (RequestRecord& r : reqs) {
+    r.batch_id = batch_id;
+    latest = std::max(latest, r.deadline);
+    // Close the request's trace flow on the worker side, then narrate
+    // which batch it rode in.
+    if (obs::trace::enabled()) {
+      obs::trace::flow_recv(r.id, /*peer=*/0, /*tag=*/0);
+    }
+    if (opts_.event_log) {
+      opts_.event_log->emit(
+          r.id, obs::events::kEvBatched,
+          {{"batch_id", batch_id},
+           {"width", static_cast<std::uint64_t>(width)}});
+    }
+  }
+  const core::CancelToken tok = latest == kNoDeadline
+                                    ? core::CancelToken()
+                                    : core::CancelToken::at(latest);
+  obs::add("serve.batches");
+  obs::hist("serve.batch_size", static_cast<double>(width));
+  obs::ScopedTimer t_batch("serve.batch");
+  if (degraded) {
+    run_degraded_batch(reqs, tok);
+  } else {
+    solve_range(reqs, 0, reqs.size(), tok);
+    certify_batch(reqs, tok);
+  }
+  obs::hist("serve.batch_seconds", t_batch.stop());
+  ++tally.batches;
+  tally.max_batch = std::max(tally.max_batch, width);
+}
+
+void ServeEngine::solve_range(std::vector<RequestRecord>& reqs, size_t lo,
+                              size_t hi, const core::CancelToken& tok) {
   const index_t nn = n();
   const index_t width = static_cast<index_t>(hi - lo);
   la::Matrix u(nn, width);
@@ -243,26 +380,22 @@ void ServeEngine::solve_range(std::vector<Request>& reqs, size_t lo,
     x = solver_->solve(u, &tok);
   } catch (const core::CancelledError& e) {
     for (size_t j = lo; j < hi; ++j) {
-      out[j].code = ServeCode::DeadlineExceeded;
-      out[j].detail = e.what();
-      obs::add("serve.expired");
-      ++tally.expired;
+      reqs[j].code = ServeCode::DeadlineExceeded;
+      reqs[j].detail = e.what();
     }
     return;
   } catch (const std::exception& e) {
     if (width == 1) {
       // Bisection bottomed out: this request alone made the solve
       // throw — fail it, leaving every batchmate untouched.
-      out[lo].code = ServeCode::SolveFailed;
-      out[lo].detail =
+      reqs[lo].code = ServeCode::SolveFailed;
+      reqs[lo].detail =
           std::string("batched solve failed for this request: ") + e.what();
-      obs::add("serve.poison");
-      ++tally.failed;
       return;
     }
     const size_t mid = lo + (hi - lo) / 2;
-    solve_range(reqs, lo, mid, tok, out, tally);
-    solve_range(reqs, mid, hi, tok, out, tally);
+    solve_range(reqs, lo, mid, tok);
+    solve_range(reqs, mid, hi, tok);
     return;
   }
 
@@ -272,33 +405,16 @@ void ServeEngine::solve_range(std::vector<Request>& reqs, size_t lo,
             std::span<const double>(col, static_cast<size_t>(nn)))) {
       // Block solve columns are arithmetically independent, so NaN/Inf
       // here indicts exactly this request's right-hand side.
-      out[j].code = ServeCode::PoisonRhs;
-      out[j].detail = "solution column contains NaN/Inf";
-      obs::add("serve.poison");
-      ++tally.poisoned;
+      reqs[j].code = ServeCode::PoisonRhs;
+      reqs[j].detail = "solution column contains NaN/Inf";
     } else {
-      out[j].code = ServeCode::Ok;
-      out[j].x.assign(col, col + nn);
+      reqs[j].x.assign(col, col + nn);
     }
   }
 }
 
-void ServeEngine::run_direct_batch(std::vector<Request>& reqs,
-                                   const core::CancelToken& tok,
-                                   std::vector<Outcome>& out,
-                                   BatchTally& tally) {
-  obs::add("serve.batches");
-  obs::hist("serve.batch_size", static_cast<double>(reqs.size()));
-  obs::ScopedTimer t_batch("serve.batch");
-  solve_range(reqs, 0, reqs.size(), tok, out, tally);
-  certify_batch(reqs, tok, out, tally);
-  obs::hist("serve.batch_seconds", t_batch.stop());
-}
-
-void ServeEngine::certify_batch(std::vector<Request>& reqs,
-                                const core::CancelToken& tok,
-                                std::vector<Outcome>& out,
-                                BatchTally& tally) {
+void ServeEngine::certify_batch(std::vector<RequestRecord>& reqs,
+                                const core::CancelToken& tok) {
   const core::VerifyPolicy& vp = opts_.verify;
   if (!vp.enabled()) return;
   if (!core::should_verify(vp, verify_seq_++)) return;
@@ -306,8 +422,8 @@ void ServeEngine::certify_batch(std::vector<Request>& reqs,
   // Certification covers the answers about to be returned as successes;
   // columns the solve already failed (poison, bisection) stay failed.
   std::vector<size_t> idx;
-  for (size_t j = 0; j < out.size(); ++j)
-    if (out[j].code == ServeCode::Ok) idx.push_back(j);
+  for (size_t j = 0; j < reqs.size(); ++j)
+    if (reqs[j].code == ServeCode::Ok) idx.push_back(j);
   if (idx.empty()) return;
 
   const index_t nn = n();
@@ -316,7 +432,7 @@ void ServeEngine::certify_batch(std::vector<Request>& reqs,
   for (size_t i = 0; i < idx.size(); ++i) {
     const index_t c = static_cast<index_t>(i);
     std::copy(reqs[idx[i]].rhs.begin(), reqs[idx[i]].rhs.end(), b.col(c));
-    std::copy(out[idx[i]].x.begin(), out[idx[i]].x.end(), x.col(c));
+    std::copy(reqs[idx[i]].x.begin(), reqs[idx[i]].x.end(), x.col(c));
   }
 
   std::vector<core::VerifyOutcome> vos;
@@ -325,74 +441,55 @@ void ServeEngine::certify_batch(std::vector<Request>& reqs,
     vos = core::certify_and_refine_block(*solver_, b, x, vp, 0, &tok);
   } catch (const core::CancelledError&) {
     // Every member deadline has passed (the token runs under the
-    // latest); the late-finish check in worker_loop fails these.
+    // latest); finish()'s late-deadline rule fails these.
     return;
   }
 
   for (size_t i = 0; i < idx.size(); ++i) {
-    Outcome& o = out[idx[i]];
+    RequestRecord& r = reqs[idx[i]];
     const core::VerifyOutcome& vo = vos[i];
-    o.residual = vo.residual;
-    ++tally.verified;
-    if (vo.refine_steps > 0) ++tally.refined;
-    if (vo.escalations > 0) ++tally.escalated;
+    r.verify = vo;
+    r.residual = vo.residual;
     if (vo.certified) {
       // The ladder may have improved the column in place.
       const double* col = x.col(static_cast<index_t>(i));
-      o.x.assign(col, col + nn);
+      r.x.assign(col, col + nn);
     } else {
       std::ostringstream msg;
       msg << "certified residual " << vo.residual
           << " misses the verify target " << vp.target_residual
           << " after the escalation ladder";
-      o.code = ServeCode::SolveFailed;
-      o.detail = msg.str();
-      ++tally.failed;
+      r.code = ServeCode::SolveFailed;
+      r.detail = msg.str();
     }
   }
 }
 
-void ServeEngine::run_degraded_batch(std::vector<Request>& reqs,
-                                     const core::CancelToken& tok,
-                                     std::vector<Outcome>& out,
-                                     BatchTally& tally) {
-  obs::add("serve.batches");
-  obs::hist("serve.batch_size", static_cast<double>(reqs.size()));
-  obs::ScopedTimer t_batch("serve.batch");
+void ServeEngine::run_degraded_batch(std::vector<RequestRecord>& reqs,
+                                     const core::CancelToken& tok) {
   const core::HMatrix& h = solver_->factor_tree().hmatrix();
   const double lambda = solver_->lambda();
-  for (size_t j = 0; j < reqs.size(); ++j) {
-    if (!core::all_finite(std::span<const double>(reqs[j].rhs.data(),
-                                                  reqs[j].rhs.size()))) {
-      out[j].code = ServeCode::PoisonRhs;
-      out[j].detail = "rhs contains NaN/Inf";
-      obs::add("serve.poison");
-      ++tally.poisoned;
+  for (RequestRecord& r : reqs) {
+    if (!core::all_finite(std::span<const double>(r.rhs))) {
+      r.code = ServeCode::PoisonRhs;
+      r.detail = "rhs contains NaN/Inf";
       continue;
     }
     try {
       ServeResult res =
-          degraded_gmres_solve(h, lambda, reqs[j].rhs,
-                               opts_.degraded_gmres, &tok);
-      out[j].code = res.code;
-      out[j].x = std::move(res.x);
-      out[j].residual = res.residual;
-      out[j].detail = std::move(res.detail);
-      obs::add("serve.degraded");
-      ++tally.degraded;
+          degraded_gmres_solve(h, lambda, r.rhs, opts_.degraded_gmres, &tok);
+      r.code = res.code;
+      r.x = std::move(res.x);
+      r.residual = res.residual;
+      r.detail = std::move(res.detail);
     } catch (const core::CancelledError& e) {
-      out[j].code = ServeCode::DeadlineExceeded;
-      out[j].detail = e.what();
-      obs::add("serve.expired");
-      ++tally.expired;
+      r.code = ServeCode::DeadlineExceeded;
+      r.detail = e.what();
     } catch (const ServeError& e) {
-      out[j].code = e.code();
-      out[j].detail = e.what();
-      obs::add("serve.poison");
-      ++tally.failed;
+      r.code = e.code();
+      r.detail = e.what();
     }
   }
-  obs::hist("serve.batch_seconds", t_batch.stop());
 }
 
 void ServeEngine::worker_loop() {
@@ -412,8 +509,8 @@ void ServeEngine::worker_loop() {
     const steady_clock::time_point now = steady_clock::now();
 
     // Shed already-expired requests first: dead work must never occupy
-    // a batch slot (their promises are failed outside the lock below).
-    std::vector<Request> dead;
+    // a batch slot (they are finished outside the lock below).
+    std::vector<RequestRecord> dead;
     for (auto it = queue_.begin(); it != queue_.end();) {
       if (it->deadline <= now) {
         dead.push_back(std::move(*it));
@@ -439,7 +536,7 @@ void ServeEngine::worker_loop() {
 
     const index_t batch = std::min<index_t>(
         opts_.batch_max, static_cast<index_t>(queue_.size()));
-    std::vector<Request> reqs;
+    std::vector<RequestRecord> reqs;
     reqs.reserve(static_cast<size_t>(batch));
     for (index_t i = 0; i < batch; ++i) {
       reqs.push_back(std::move(queue_.front()));
@@ -448,124 +545,17 @@ void ServeEngine::worker_loop() {
     busy_ = true;
     lk.unlock();
 
-    BatchTally tally;
-    for (Request& r : dead) {
-      obs::add("serve.expired");
-      ++tally.expired;
-      const double lat =
-          std::chrono::duration<double>(now - r.enqueued).count();
-      obs::hist("serve.request_seconds", lat);
-      if (opts_.event_log) {
-        opts_.event_log->emit(r.id, obs::events::kEvExpired,
-                              {{"reason", "expired_in_queue"}});
-      }
-      if (opts_.slo) opts_.slo->record(lat, /*error=*/true);
-      if (opts_.tail_trace) {
-        opts_.tail_trace->observe(r.id, lat, /*error=*/true,
-                                  ns_since_epoch(r.enqueued),
-                                  ns_since_epoch(now));
-      }
-      r.promise.set_exception(std::make_exception_ptr(ServeError(
-          ServeCode::DeadlineExceeded,
-          "ServeEngine: deadline expired before the request reached a "
-          "batch")));
+    Stats tally;
+    for (RequestRecord& r : dead) {
+      r.code = ServeCode::DeadlineExceeded;
+      r.reason = "expired_in_queue";
+      r.detail = "deadline expired before the request reached a batch";
+      finish(r, now, tally);
     }
-
-    const std::uint64_t batch_id = reqs.empty() ? 0 : ++batch_seq_;
-    std::vector<Outcome> out(reqs.size());
     if (!reqs.empty()) {
-      for (const Request& r : reqs) {
-        // Close the request's trace flow on the worker side, then
-        // narrate which batch it rode in.
-        if (obs::trace::enabled()) {
-          obs::trace::flow_recv(r.id, /*peer=*/0, /*tag=*/0);
-        }
-        if (opts_.event_log) {
-          opts_.event_log->emit(
-              r.id, obs::events::kEvBatched,
-              {{"batch_id", batch_id},
-               {"width", static_cast<std::uint64_t>(reqs.size())}});
-        }
-      }
-      // The batch runs under the latest deadline of its members: work
-      // keeps going as long as any member could still use the result,
-      // and aborts cooperatively once none can.
-      steady_clock::time_point latest = steady_clock::time_point::min();
-      for (const Request& r : reqs) latest = std::max(latest, r.deadline);
-      const core::CancelToken tok = latest == kNoDeadline
-                                        ? core::CancelToken()
-                                        : core::CancelToken::at(latest);
-      if (degraded_batch)
-        run_degraded_batch(reqs, tok, out, tally);
-      else
-        run_direct_batch(reqs, tok, out, tally);
-    }
-
-    const steady_clock::time_point done = steady_clock::now();
-    for (size_t j = 0; j < reqs.size(); ++j) {
-      Request& r = reqs[j];
-      Outcome& o = out[j];
-      const double lat =
-          std::chrono::duration<double>(done - r.enqueued).count();
-      obs::hist("serve.request_seconds", lat);
-      // A request whose own deadline passed during the solve fails even
-      // if the batch (run under the *latest* member deadline) produced
-      // a value for it.
-      const bool late = r.deadline <= done;
-      if (late &&
-          (o.code == ServeCode::Ok || o.code == ServeCode::Degraded)) {
-        if (o.code == ServeCode::Degraded) --tally.degraded;
-        o.code = ServeCode::DeadlineExceeded;
-        o.detail = "solve finished after the request deadline";
-        obs::add("serve.expired");
-        ++tally.expired;
-      }
-      // Exactly one terminal event per request, before the promise is
-      // fulfilled, so an event-log reader that reacts to the future
-      // never races a missing line.
-      if (opts_.event_log) {
-        switch (o.code) {
-          case ServeCode::Ok:
-            opts_.event_log->emit(r.id, obs::events::kEvSolved,
-                                  {{"residual", o.residual},
-                                   {"verified", o.residual >= 0.0},
-                                   {"batch_id", batch_id}});
-            break;
-          case ServeCode::Degraded:
-            opts_.event_log->emit(r.id, obs::events::kEvDegraded,
-                                  {{"residual", o.residual},
-                                   {"batch_id", batch_id}});
-            break;
-          case ServeCode::DeadlineExceeded:
-            opts_.event_log->emit(r.id, obs::events::kEvExpired,
-                                  {{"batch_id", batch_id}});
-            break;
-          default:
-            opts_.event_log->emit(r.id, obs::events::kEvFailed,
-                                  {{"code", to_string(o.code)},
-                                   {"batch_id", batch_id}});
-            break;
-        }
-      }
-      const bool error_outcome =
-          o.code != ServeCode::Ok && o.code != ServeCode::Degraded;
-      if (opts_.slo) opts_.slo->record(lat, error_outcome);
-      if (opts_.tail_trace) {
-        opts_.tail_trace->observe(r.id, lat, error_outcome,
-                                  ns_since_epoch(r.enqueued),
-                                  ns_since_epoch(done));
-      }
-      if (o.code == ServeCode::Ok || o.code == ServeCode::Degraded) {
-        ServeResult res;
-        res.code = o.code;
-        res.x = std::move(o.x);
-        res.residual = o.residual;
-        res.detail = std::move(o.detail);
-        r.promise.set_value(std::move(res));
-      } else {
-        r.promise.set_exception(std::make_exception_ptr(
-            ServeError(o.code, "ServeEngine: " + o.detail)));
-      }
+      run_batch(reqs, degraded_batch, tally);
+      const steady_clock::time_point done = steady_clock::now();
+      for (RequestRecord& r : reqs) finish(r, done, tally);
     }
     // Publish the SLO view once per batch: cheap enough to gauge every
     // time, fresh enough for a scraper.
@@ -577,17 +567,7 @@ void ServeEngine::worker_loop() {
 
     lk.lock();
     busy_ = false;
-    if (!reqs.empty()) {
-      stats_.batches += 1;
-      stats_.max_batch = std::max(stats_.max_batch, batch);
-    }
-    stats_.expired += tally.expired;
-    stats_.degraded += tally.degraded;
-    stats_.poisoned += tally.poisoned;
-    stats_.failed += tally.failed;
-    stats_.verified += tally.verified;
-    stats_.refined += tally.refined;
-    stats_.escalated += tally.escalated;
+    accumulate(stats_, tally);
     cv_.notify_all();  // Wake drain()/drain_for() waiters.
   }
 }

@@ -39,26 +39,32 @@
 // bench's deterministic smoke mode pin down batch composition —
 // without it, batch sizes depend on scheduler timing.
 //
-// Observability (obs/keys.hpp): serve.requests / serve.batches /
-// serve.shed / serve.expired / serve.degraded / serve.poison counters,
-// serve.batch_size / serve.batch_seconds / serve.request_seconds
-// histograms, and a serve.batch timer scope. Live telemetry hooks
-// (all optional, attached through ServeOptions):
+// Observability (obs/keys.hpp): every admitted request — expired in
+// the queue, failed by shutdown(), or finished in a batch — ends in
+// finish(), which derives each sink from the request's final record;
+// submit()'s rejections share its counter-and-event code, then throw.
+// Each final code bumps at most one outcome counter, the twin of one
+// Stats field: serve.shed, serve.expired, serve.degraded, serve.poison
+// (PoisonRhs and non-finite InvalidRhs) or serve.failed (SolveFailed).
+// Also serve.requests at admission; per batch serve.batches, the
+// serve.batch_size / serve.batch_seconds histograms and the serve.batch
+// timer scope (solve plus certification); serve.request_seconds per
+// admitted request. Live telemetry hooks (optional, in ServeOptions):
 //   - event_log: every submit() mints a monotonic request_id
 //     (obs::next_request_id) and the engine narrates the request's
 //     lifecycle — admitted / shed / batched / solved / expired /
 //     degraded / failed — one JSON line each, exactly one terminal
 //     event per request (obs/eventlog.hpp).
-//   - slo: completed requests feed a rolling-window SLO tracker whose
-//     exhausted error budget is a second trigger (besides the queue
-//     watermark) for degraded batches; the engine publishes
-//     serve.slo_budget / serve.slo_p99_seconds gauges per batch and
-//     counts serve.slo_breach when the SLO alone forces degradation.
-//   - tail_trace: at batch completion each request's latency/outcome is
-//     offered to a tail sampler that retroactively keeps the trace
-//     slice of the slowest (and all failed) requests, with request_id
-//     stamped as a trace flow from submit() into the worker's batch
-//     (serve/tail_trace.hpp).
+//   - slo: each admitted request's latency and outcome feed a
+//     rolling-window SLO tracker whose exhausted error budget is a
+//     second trigger (besides the queue watermark) for degraded
+//     batches; the engine publishes serve.slo_budget /
+//     serve.slo_p99_seconds gauges per batch and counts
+//     serve.slo_breach when the SLO alone forces degradation.
+//   - tail_trace: each admitted request's latency/outcome is offered to
+//     a tail sampler that keeps the trace slice of the slowest (and all
+//     failed) requests, with request_id stamped as a trace flow from
+//     submit() into the worker's batch (serve/tail_trace.hpp).
 #pragma once
 
 #include <chrono>
@@ -143,8 +149,9 @@ struct ServeOptions {
   /// engine serves degraded batches exactly as if the queue had crossed
   /// degrade_watermark. Null = no SLO input.
   std::shared_ptr<SloTracker> slo;
-  /// Tail-based trace sampler consulted at batch completion. Null = no
-  /// tail sampling. Only useful while obs::trace is enabled.
+  /// Tail-based trace sampler consulted as each admitted request
+  /// finishes. Null = no tail sampling. Only useful while obs::trace is
+  /// enabled.
   std::shared_ptr<TailTraceSampler> tail_trace;
 };
 
@@ -210,8 +217,9 @@ class ServeEngine {
     std::uint64_t expired = 0;    ///< Failed with DeadlineExceeded.
     std::uint64_t degraded = 0;   ///< Served by the GMRES-only fallback.
     std::uint64_t poisoned = 0;   ///< InvalidRhs (non-finite) + PoisonRhs.
-    std::uint64_t failed = 0;     ///< SolveFailed (bisection or an
-                                  ///< uncertifiable residual).
+    std::uint64_t failed = 0;     ///< SolveFailed (bisection, an
+                                  ///< uncertifiable residual, or a
+                                  ///< non-finite degraded GMRES).
     std::uint64_t verified = 0;   ///< Answers carrying a certified
                                   ///< (measured) residual.
     std::uint64_t refined = 0;    ///< Answers that took >= 1 refinement
@@ -223,58 +231,57 @@ class ServeEngine {
   Stats stats() const;
 
  private:
-  struct Request {
+  /// One request from submit() to its end. The batch runners fill the
+  /// outcome fields in place; finish() derives every sink from them.
+  struct RequestRecord {
     std::uint64_t id = 0;  ///< Process-unique (obs::next_request_id).
     std::vector<double> rhs;
     std::promise<ServeResult> promise;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;  ///< max() = none.
-  };
-
-  /// Per-request outcome of one batch execution, staged before the
-  /// promises are fulfilled.
-  struct Outcome {
+    std::uint64_t batch_id = 0;  ///< 0 = never reached a batch.
     ServeCode code = ServeCode::Ok;
     std::vector<double> x;
     double residual = -1.0;
     std::string detail;
-  };
-
-  /// Local tallies merged into stats_ once per batch (the obs counters
-  /// are emitted at the point of occurrence).
-  struct BatchTally {
-    std::uint64_t expired = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t poisoned = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t verified = 0;
-    std::uint64_t refined = 0;
-    std::uint64_t escalated = 0;
+    const char* reason = nullptr;  ///< Terminal event's "reason" field.
+    core::VerifyOutcome verify;    ///< Certification, when measured.
   };
 
   void worker_loop();
-  void run_direct_batch(std::vector<Request>& reqs,
-                        const core::CancelToken& tok,
-                        std::vector<Outcome>& out, BatchTally& tally);
-  /// Certify the batch's Ok columns under opts_.verify (no-op when the
-  /// batch is out of sample): measured residuals land in the outcomes,
+  /// Solve one packed batch under the latest member deadline (the
+  /// direct path plus certification, or the degraded GMRES-only path),
+  /// with the per-batch counters, histograms and serve.batch timer.
+  void run_batch(std::vector<RequestRecord>& reqs, bool degraded,
+                 Stats& tally);
+  void solve_range(std::vector<RequestRecord>& reqs, size_t lo, size_t hi,
+                   const core::CancelToken& tok);
+  /// Certify the batch's Ok records under opts_.verify (no-op when the
+  /// batch is out of sample): measured residuals land in the records,
   /// failing columns are refined/escalated in place, and a column the
   /// ladder cannot certify flips to SolveFailed.
-  void certify_batch(std::vector<Request>& reqs,
-                     const core::CancelToken& tok, std::vector<Outcome>& out,
-                     BatchTally& tally);
-  void solve_range(std::vector<Request>& reqs, size_t lo, size_t hi,
-                   const core::CancelToken& tok, std::vector<Outcome>& out,
-                   BatchTally& tally);
-  void run_degraded_batch(std::vector<Request>& reqs,
-                          const core::CancelToken& tok,
-                          std::vector<Outcome>& out, BatchTally& tally);
+  void certify_batch(std::vector<RequestRecord>& reqs,
+                     const core::CancelToken& tok);
+  void run_degraded_batch(std::vector<RequestRecord>& reqs,
+                          const core::CancelToken& tok);
+  /// Count and narrate an ended request: the one outcome counter of its
+  /// final code (and that counter's Stats field, in `tally`), then its
+  /// one terminal event line.
+  void conclude(const RequestRecord& r, Stats& tally) const;
+  /// End an admitted request at `now`: the late-deadline rule, then
+  /// conclude(), serve.request_seconds, the SLO tracker, the tail
+  /// sampler and the promise.
+  void finish(RequestRecord& r, std::chrono::steady_clock::time_point now,
+              Stats& tally);
+  /// Reject a submission: conclude() it, then throw its ServeError.
+  [[noreturn]] void reject(RequestRecord& r, ServeCode code,
+                           const char* reason, const char* what);
 
   std::shared_ptr<const core::FastDirectSolver> solver_;
   ServeOptions opts_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Request> queue_;
+  std::deque<RequestRecord> queue_;
   bool paused_ = false;
   bool stop_ = false;
   bool busy_ = false;  ///< A batch is being solved right now.

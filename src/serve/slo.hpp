@@ -40,8 +40,11 @@ class SloTracker {
  public:
   explicit SloTracker(SloOptions opts = {});
 
-  /// One completed request: observed latency plus whether it ended in
-  /// an error outcome (shed / expired / poison / solver failure).
+  /// One finished request: observed latency plus whether it ended in
+  /// an error outcome. ServeEngine records every admitted request: an
+  /// expired, poisoned, failed or shut-down one as an error, an Ok or
+  /// Degraded one as not. Rejections at submit() (shed, invalid rhs)
+  /// have no latency and are never recorded.
   void record(double latency_seconds, bool error);
 
   struct Status {

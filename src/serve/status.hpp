@@ -32,7 +32,9 @@ enum class ServeCode {
   PoisonRhs,         ///< This request's column produced NaN/Inf while
                      ///< batchmates solved cleanly.
   SolveFailed,       ///< The solve threw for this request alone (batch
-                     ///< bisection isolated it).
+                     ///< bisection isolated it), its answer failed
+                     ///< certification, or the degraded GMRES went
+                     ///< non-finite.
   BreakerOpen,       ///< FactorCache circuit breaker is in cooldown for
                      ///< this factorization key.
 };

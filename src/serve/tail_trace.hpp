@@ -4,8 +4,8 @@
 // worth debugging: the p99 stragglers and the errors. Tail sampling
 // decides *after* the outcome is known — cheap here because the trace
 // ring buffers (obs/trace.hpp) already hold every span; all this class
-// adds is a keep/drop decision at batch completion and a bounded store
-// of kept slices.
+// adds is a keep/drop decision as each request finishes and a bounded
+// store of kept slices.
 //
 // Policy, for a budget of `keep` traces:
 //   - error outcomes are always kept, evicting the fastest non-error
@@ -16,7 +16,7 @@
 //   - requests faster than `min_latency_seconds` are never kept.
 //
 // A kept entry snapshots trace::collect() filtered to the request's
-// [enqueue, batch-done] window plus every flow event stamped with its
+// [enqueue, finish] window plus every flow event stamped with its
 // request_id — ServeEngine emits flow_send at submit and flow_recv at
 // batch pack, so the exported Perfetto JSON shows an arrow from the
 // submitting thread into the worker's solve span. write_all() renders
@@ -56,7 +56,7 @@ class TailTraceSampler {
 
   /// Keep/drop decision for one completed request. `window_t0_ns` /
   /// `window_t1_ns` bound the request's life on the steady_clock epoch
-  /// the trace buffers use (enqueue to batch completion). Returns true
+  /// the trace buffers use (enqueue to finish). Returns true
   /// when the request's trace was kept. Bumps serve.trace_kept on keep.
   bool observe(std::uint64_t request_id, double latency_seconds, bool error,
                std::uint64_t window_t0_ns, std::uint64_t window_t1_ns);

@@ -365,23 +365,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(54, 130, 70), std::make_tuple(3, 1, 1),
                       std::make_tuple(16, 128, 129)));
 
-TEST(Gsks, TransposeMatchesSymmetry) {
-  Matrix pts = random_points(5, 30, 22);
-  KernelMatrix km(pts, Kernel::matern32(0.8));
-  auto rows = iota_idx(12);
-  auto cols = iota_idx(18, 12);
-  std::vector<double> u(12, 0.0);
-  std::mt19937_64 rng(23);
-  std::normal_distribution<double> dist(0.0, 1.0);
-  for (auto& v : u) v = dist(rng);
-
-  std::vector<double> y1(18, 0.0), y2(18, 0.0);
-  gsks_apply_trans(km, rows, cols, u, y1);
-  Matrix block = km.block(rows, cols);
-  la::gemv(la::Trans::Yes, 1.0, block, u, 1.0, y2);
-  for (int i = 0; i < 18; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
-}
-
 TEST(Gsks, BlockApplyMatchesColumnwise) {
   Matrix pts = random_points(6, 40, 24);
   KernelMatrix km(pts, Kernel::gaussian(0.7));
@@ -470,13 +453,6 @@ TEST_P(SchemeParity, AllSchemesAgree) {
   op.apply(u, y1, 2.0, 0.5);
   ref.apply(u, y2, 2.0, 0.5);
   for (int i = 0; i < 20; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-11);
-
-  std::vector<double> ut(20);
-  for (auto& v : ut) v = dist(rng);
-  std::vector<double> z1(30, -1.0), z2(30, -1.0);
-  op.apply_trans(ut, z1, 1.5, 1.0);
-  ref.apply_trans(ut, z2, 1.5, 1.0);
-  for (int i = 0; i < 30; ++i) EXPECT_NEAR(z1[i], z2[i], 1e-11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, SchemeParity,

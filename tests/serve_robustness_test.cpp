@@ -20,6 +20,7 @@
 #include "core/cancel.hpp"
 #include "core/solver.hpp"
 #include "iterative/gmres.hpp"
+#include "obs/obs.hpp"
 #include "serve/engine.hpp"
 #include "serve/factor_cache.hpp"
 
@@ -329,6 +330,68 @@ TEST(ServeRobustness, QueueSaturationTriggersDegradedBatch) {
   }
   engine.drain();
   EXPECT_EQ(engine.stats().degraded, 8u);
+}
+
+// Each outcome counter moves exactly with its Stats twin. In a degraded
+// batch, a member whose own deadline passes during its solve ends
+// DeadlineExceeded: it counts once, in serve.expired, and not in
+// serve.degraded.
+TEST(ServeRobustness, OutcomeCountersMatchStats) {
+  ServeFixture fx(256);
+  ServeOptions so;
+  so.batch_max = 8;
+  so.queue_max = 8;
+  so.degrade_watermark = 0.5;
+  so.start_paused = true;
+  so.degraded_gmres.rtol = 0.0;  // Every GMRES runs to max_iters.
+  so.degraded_gmres.max_iters = 20;
+  // The first member's deadline passes during its own solve: every
+  // degraded GMRES runs with an identity right preconditioner that waits
+  // for that deadline (a no-op once it has passed).
+  steady_clock::time_point deadline;  // Set at submission.
+  so.degraded_gmres.right_precond = [&deadline](std::span<const double> in,
+                                                std::span<double> out) {
+    std::this_thread::sleep_until(deadline);
+    std::copy(in.begin(), in.end(), out.begin());
+  };
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Snapshot before = obs::snapshot();
+  ServeEngine engine(fx.solver, so);
+  std::vector<std::future<ServeResult>> futs;
+  deadline = steady_clock::now() + milliseconds(100);
+  futs.push_back(engine.submit(random_rhs(fx.h.n(), 91), deadline));
+  for (int r = 0; r < 4; ++r)
+    futs.push_back(engine.submit(
+        random_rhs(fx.h.n(), static_cast<uint64_t>(92 + r))));
+  engine.resume();
+
+  for (size_t r = 1; r < futs.size(); ++r)
+    EXPECT_EQ(futs[r].get().code, ServeCode::Degraded);
+  engine.drain();
+  // Read the error after drain(): the worker has dropped its promise by
+  // then, so this thread frees the exception, and ThreadSanitizer (which
+  // cannot see libstdc++'s exception_ptr count) sees no race.
+  EXPECT_EQ(error_code(futs[0]), ServeCode::DeadlineExceeded);
+  const obs::Snapshot after = obs::snapshot();
+  obs::set_enabled(was_enabled);
+
+  const auto delta = [&](const char* key) {
+    const auto count = [key](const obs::Snapshot& s) {
+      const auto it = s.counters.find(key);
+      return it != s.counters.end() ? it->second : 0.0;
+    };
+    return static_cast<std::uint64_t>(count(after) - count(before));
+  };
+  const ServeEngine::Stats st = engine.stats();
+  EXPECT_EQ(st.expired, 1u);
+  EXPECT_EQ(st.degraded, 4u);
+  EXPECT_EQ(delta("serve.shed"), st.shed);
+  EXPECT_EQ(delta("serve.expired"), st.expired);
+  EXPECT_EQ(delta("serve.degraded"), st.degraded);
+  EXPECT_EQ(delta("serve.poison"), st.poisoned);
+  EXPECT_EQ(delta("serve.failed"), st.failed);
 }
 
 // ---- Drain semantics -------------------------------------------------
