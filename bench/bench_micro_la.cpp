@@ -35,6 +35,62 @@ static void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
 
+// gemm_raw at the solver's own shapes (m x n x k): the Gram tile and
+// the B = 64 tile reduction (64x64x64), V * P-hat (64x64x2048),
+// telescoping (2048x64x64), the leaf LU's trailing update (192x192x64),
+// the d = 8 Gram tile on the small path (64x64x8) and the solve panels
+// (4096x1x64, 4096x8x64).
+static void BM_GemmRaw(benchmark::State& state) {
+  const index_t m = state.range(0), n = state.range(1), k = state.range(2);
+  std::mt19937_64 rng(5);
+  Matrix a = Matrix::random_gaussian(m, k, rng);
+  Matrix b = Matrix::random_gaussian(k, n, rng);
+  Matrix c(m, n);
+  for (auto _ : state) {
+    la::gemm_raw(m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.0,
+                 c.data(), c.ld());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * double(m) * double(n) * double(k) * double(state.iterations()) /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmRaw)
+    ->Args({64, 64, 64})
+    ->Args({64, 64, 2048})
+    ->Args({2048, 64, 64})
+    ->Args({192, 192, 64})
+    ->Args({64, 64, 8})
+    ->Args({4096, 1, 64})
+    ->Args({4096, 8, 64});
+
+// Block lu_solve on an n x n factor with B right-hand sides: 2 n^2 B
+// flops (forward and back substitution).
+static void BM_LuSolveBlock(benchmark::State& state) {
+  const index_t n = state.range(0), nrhs = state.range(1);
+  std::mt19937_64 rng(6);
+  Matrix a = Matrix::random_gaussian(n, n, rng);
+  for (index_t i = 0; i < n; ++i) a(i, i) += double(n);
+  const la::LuFactor f = la::lu_factor(a);
+  const Matrix rhs = Matrix::random_gaussian(n, nrhs, rng);
+  Matrix x(n, nrhs);
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = rhs;
+    state.ResumeTiming();
+    la::lu_solve(f, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * double(n) * double(n) * double(nrhs) *
+          double(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LuSolveBlock)->Args({256, 64})->Args({128, 64});
+
 static void BM_LuFactor(benchmark::State& state) {
   const index_t n = state.range(0);
   std::mt19937_64 rng(2);
@@ -61,6 +117,24 @@ static void BM_PivotedQr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PivotedQr)->Arg(64)->Arg(128)->Arg(256);
+
+// A leaf-shaped ID: QRCP of a 544 x 256 sample matrix stopped at rank
+// r = 64, 4 m n r - 2 (m + n) r^2 + 4 r^3 / 3 flops.
+static void BM_PivotedQrLeafId(benchmark::State& state) {
+  const index_t m = state.range(0), n = state.range(1), r = state.range(2);
+  std::mt19937_64 rng(7);
+  Matrix a = Matrix::random_gaussian(m, n, rng);
+  for (auto _ : state) {
+    la::QrFactor f = la::qr_factor_pivoted(a, 0.0, r);
+    benchmark::DoNotOptimize(f.qr.data());
+  }
+  const double flops = 4.0 * double(m) * double(n) * double(r) -
+                       2.0 * double(m + n) * double(r) * double(r) +
+                       4.0 * double(r) * double(r) * double(r) / 3.0;
+  state.counters["GFLOPS"] = benchmark::Counter(
+      flops * double(state.iterations()) / 1e9, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PivotedQrLeafId)->Args({544, 256, 64})->Args({288, 128, 64});
 
 static void BM_GsksApply(benchmark::State& state) {
   const index_t n = state.range(0);

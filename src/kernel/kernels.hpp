@@ -45,9 +45,13 @@ struct Kernel {
   double matern32_r(double d2) const {
     return std::sqrt(3.0 * d2) / bandwidth;
   }
+  /// Polynomial base x.y / h^2 + c.
+  double polynomial_base(double xdoty) const {
+    return xdoty / (bandwidth * bandwidth) + shift;
+  }
   /// Polynomial kernel (x.y / h^2 + c)^p, which needs no exp.
   double polynomial_gram(double xdoty) const {
-    const double base = xdoty / (bandwidth * bandwidth) + shift;
+    const double base = polynomial_base(xdoty);
     double acc = 1.0;
     for (int k = 0; k < degree; ++k) acc *= base;
     return acc;

@@ -107,6 +107,9 @@ void TileEvaluator::eval(std::span<const index_t> cols, index_t j0,
 
   // Map G to kernel values one column at a time. The kernel is a local
   // copy, so the entry loops need not reload it after each tile store.
+  // Each step is a loop of its own so that it vectorizes: under
+  // -ftrapping-math GCC if-converts gram_dist2's clamp only where no
+  // trapping multiply follows it in the loop body.
   const Kernel k = km_.kernel();
   const index_t m = mi_;
   const double* rn = rnorm_.data();
@@ -114,20 +117,27 @@ void TileEvaluator::eval(std::span<const index_t> cols, index_t j0,
   for (index_t j = 0; j < nj; ++j) {
     const double cn = km_.sqnorm(cols[j0 + j]);
     double* g = out + j * ldo;
+    if (k.type == KernelType::Polynomial) {
+      // Kernel::polynomial_gram's product, one degree at a time.
+      for (index_t i = 0; i < m; ++i) ev[i] = k.polynomial_base(g[i]);
+      std::fill(g, g + m, 1.0);
+      for (int p = 0; p < k.degree; ++p)
+        for (index_t i = 0; i < m; ++i) g[i] *= ev[i];
+      continue;
+    }
+    for (index_t i = 0; i < m; ++i) g[i] = gram_dist2(g[i], rn[i], cn);
     switch (k.type) {
       case KernelType::Gaussian:
-        for (index_t i = 0; i < m; ++i)
-          g[i] = k.gaussian_arg(gram_dist2(g[i], rn[i], cn));
+        for (index_t i = 0; i < m; ++i) g[i] = k.gaussian_arg(g[i]);
         exp_inplace(g, m);
         break;
       case KernelType::Laplacian:
-        for (index_t i = 0; i < m; ++i)
-          g[i] = k.laplacian_arg(gram_dist2(g[i], rn[i], cn));
+        for (index_t i = 0; i < m; ++i) g[i] = k.laplacian_arg(g[i]);
         exp_inplace(g, m);
         break;
       case KernelType::Matern32:
         for (index_t i = 0; i < m; ++i) {
-          const double r = k.matern32_r(gram_dist2(g[i], rn[i], cn));
+          const double r = k.matern32_r(g[i]);
           g[i] = r;
           ev[i] = -r;
         }
@@ -135,7 +145,6 @@ void TileEvaluator::eval(std::span<const index_t> cols, index_t j0,
         for (index_t i = 0; i < m; ++i) g[i] = (1.0 + g[i]) * ev[i];
         break;
       case KernelType::Polynomial:
-        for (index_t i = 0; i < m; ++i) g[i] = k.polynomial_gram(g[i]);
         break;
     }
   }

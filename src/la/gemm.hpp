@@ -1,9 +1,15 @@
 // Level-2/3 BLAS-style matrix kernels: GEMV and a blocked, packed GEMM.
 //
-// This file substitutes for the MKL DGEMM/DGEMV calls in the paper. The
-// GEMM is cache-blocked with operand packing (a miniature BLIS-style
-// loop nest) and parallelized across column panels with OpenMP; the goal
-// is to keep the factorization compute-bound, not to chase peak FLOPS.
+// This file substitutes for the MKL DGEMM/DGEMV calls in the paper.
+// gemm_raw runs one of two register-blocked kernel families
+// (la/kernels.hpp). Small products take the direct family, which adds
+// each term straight into C. Larger ones take the chunked family: a
+// cache-blocked, operand-packing loop nest (a miniature BLIS) that sums
+// each entry in 256-deep chunks. Each family is compiled for AVX-512F,
+// AVX2 and the baseline x86-64 ISA, and the CPU's best is picked once.
+// All three round every product and sum of an entry in the same order,
+// so a result is bitwise the same on every CPU. gemm() also splits its
+// column panels across OpenMP threads.
 //
 // Observability counting convention (enforced across la/): a routine
 // bumps its `*.calls` counter exactly once per invocation, AFTER its
@@ -58,9 +64,12 @@ void gemm_ref(Trans ta, Trans tb, double alpha, const Matrix& a,
 
 /// Raw-pointer GEMM on column-major blocks (no transposes):
 /// C(m,n) = beta*C + alpha*A(m,k)*B(k,n). Used inside tiled kernels.
-/// Narrow right-hand sides (n <= 4) skip the packing of B but keep the
-/// packed path's arithmetic, so a result never depends on which path
-/// ran; a 1-column GEMM costs about what the GEMV does.
+/// Products with m*n*k <= 32^3 take the direct family: each entry adds
+/// A(i,p) * (alpha B(p,j)) in ascending p, skipping zero terms of
+/// alpha B. Larger ones take the chunked family. Its narrow right-hand
+/// sides (n <= 4) skip the packing of B but keep the packed arithmetic,
+/// so a result never depends on which of the two ran; a 1-column GEMM
+/// costs about what the GEMV does.
 void gemm_raw(index_t m, index_t n, index_t k, double alpha, const double* a,
               index_t lda, const double* b, index_t ldb, double beta,
               double* c, index_t ldc);

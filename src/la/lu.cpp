@@ -10,6 +10,7 @@
 
 #include "la/blas1.hpp"
 #include "la/gemm.hpp"
+#include "la/kernels.hpp"
 
 namespace fdks::la {
 
@@ -55,19 +56,60 @@ void lu_panel(Matrix& lu, LuFactor& f, index_t k0, index_t k1) {
   }
 }
 
-// Solve the unit-lower triangular system L11 X = B in place, where L11
-// is the [k0, k1) diagonal block of lu (unit diagonal) and B is the
-// [k0, k1) x [j0, j1) block.
-void trsm_unit_lower(Matrix& lu, index_t k0, index_t k1, index_t j0,
-                     index_t j1) {
-  for (index_t j = j0; j < j1; ++j) {
-    double* col = lu.col(j);
-    for (index_t k = k0; k < k1; ++k) {
-      const double bk = col[k];
-      if (bk == 0.0) continue;
-      const double* lcol = lu.col(k);
-      for (index_t i = k + 1; i < k1; ++i) col[i] -= lcol[i] * bk;
+// Rows per diagonal block of the triangular solves below. Only the
+// diagonal blocks run scalar; the rest of each solve is the direct
+// kernel, which applies every entry's terms in the same order.
+constexpr index_t kTrsmBlock = 8;
+
+// B <- L^-1 B for the n-by-n unit lower triangle of l and n-by-nrhs B.
+// Entry (i, j) takes the terms k = 0 .. i-1 in ascending order; a term
+// whose B(k, j) is zero is skipped.
+void trsm_lower_unit(index_t n, const double* l, index_t ldl, double* b,
+                     index_t ldb, index_t nrhs) {
+  const detail::KernelSet& kern = detail::kernels();
+  for (index_t k0 = 0; k0 < n; k0 += kTrsmBlock) {
+    const index_t k1 = std::min(n, k0 + kTrsmBlock);
+    for (index_t j = 0; j < nrhs; ++j) {
+      double* bj = b + j * ldb;
+      for (index_t k = k0; k < k1; ++k) {
+        const double bk = bj[k];
+        if (bk == 0.0) continue;
+        const double* lk = l + k * ldl;
+        for (index_t i = k + 1; i < k1; ++i) bj[i] -= lk[i] * bk;
+      }
     }
+    // Rows below the block: B(k1:n, :) += L(k1:n, k0:k1) * (-B(k0:k1, :)).
+    if (k1 < n)
+      kern.direct(n - k1, nrhs, k1 - k0, -1.0, l + k1 + k0 * ldl, ldl, b + k0,
+                  1, ldb, b + k1, ldb);
+  }
+}
+
+// B <- U^-1 B for the n-by-n upper triangle of u and n-by-nrhs B. Entry
+// (i, j) takes the terms k = n-1 .. i+1 in descending order, skipping a
+// zero B(k, j), and is then scaled by 1 / U(i, i).
+void trsm_upper(index_t n, const double* u, index_t ldu, double* b,
+                index_t ldb, index_t nrhs) {
+  const detail::KernelSet& kern = detail::kernels();
+  for (index_t k1 = n; k1 > 0;) {
+    const index_t k0 = std::max<index_t>(0, k1 - kTrsmBlock);
+    for (index_t k = k1 - 1; k >= k0; --k) {
+      const double* uk = u + k * ldu;
+      const double inv = 1.0 / uk[k];
+      for (index_t j = 0; j < nrhs; ++j) {
+        double* bj = b + j * ldb;
+        bj[k] *= inv;
+        const double bk = bj[k];
+        if (bk == 0.0) continue;
+        for (index_t i = k0; i < k; ++i) bj[i] -= uk[i] * bk;
+      }
+    }
+    // Rows above the block, terms k1-1 down to k0 (negative strides):
+    // B(0:k0, :) += U(0:k0, k0:k1) * (-B(k0:k1, :)).
+    if (k0 > 0)
+      kern.direct(k0, nrhs, k1 - k0, -1.0, u + (k1 - 1) * ldu, -ldu,
+                  b + (k1 - 1), -1, ldb, b, ldb);
+    k1 = k0;
   }
 }
 
@@ -96,7 +138,9 @@ LuFactor lu_factor(const Matrix& a) {
       const index_t k1 = std::min(n, k0 + kLuBlock);
       lu_panel(lu, f, k0, k1);
       if (k1 == n) break;
-      trsm_unit_lower(lu, k0, k1, k1, n);
+      // U12 = L11^-1 A12.
+      trsm_lower_unit(k1 - k0, lu.col(k0) + k0, lu.ld(), lu.col(k1) + k0,
+                      lu.ld(), n - k1);
       // Trailing update: A22 -= L21 * U12.
       gemm_raw(n - k1, n - k1, k1 - k0, -1.0, lu.col(k0) + k1, lu.ld(),
                lu.col(k1) + k0, lu.ld(), 1.0, lu.col(k1) + k1, lu.ld());
@@ -142,36 +186,16 @@ void lu_solve(const LuFactor& f, MatrixView b) {
     lu_solve(f, b.col_span(0));
     return;
   }
-  const Matrix& lu = f.lu;
   // Row interchanges across all right-hand sides.
   for (index_t k = 0; k < n; ++k) {
     const index_t p = f.piv[static_cast<size_t>(k)];
     if (p == k) continue;
     for (index_t j = 0; j < nrhs; ++j) std::swap(b(k, j), b(p, j));
   }
-  // Forward substitution with the unit lower triangle: each factor
-  // column is loaded once and applied to every rhs column.
-  for (index_t k = 0; k < n; ++k) {
-    const double* col = lu.col(k);
-    for (index_t j = 0; j < nrhs; ++j) {
-      const double bk = b(k, j);
-      if (bk == 0.0) continue;
-      double* bj = b.col(j);
-      for (index_t i = k + 1; i < n; ++i) bj[i] -= col[i] * bk;
-    }
-  }
-  // Back substitution with the upper triangle.
-  for (index_t k = n - 1; k >= 0; --k) {
-    const double* col = lu.col(k);
-    const double inv = 1.0 / lu(k, k);
-    for (index_t j = 0; j < nrhs; ++j) {
-      b(k, j) *= inv;
-      const double bk = b(k, j);
-      if (bk == 0.0) continue;
-      double* bj = b.col(j);
-      for (index_t i = 0; i < k; ++i) bj[i] -= col[i] * bk;
-    }
-  }
+  // Substitution sweeps: register tiles of B take many factor columns
+  // at once (TRSM-style), so the factor streams once per tile row.
+  trsm_lower_unit(n, f.lu.data(), f.lu.ld(), b.data(), b.ld(), nrhs);
+  trsm_upper(n, f.lu.data(), f.lu.ld(), b.data(), b.ld(), nrhs);
 }
 
 void lu_solve(const LuFactor& f, Matrix& b) { lu_solve(f, MatrixView(b)); }

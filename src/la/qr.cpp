@@ -33,20 +33,38 @@ double make_reflector(Matrix& qr, index_t k) {
   return tau;
 }
 
+// Apply reflector k (stored in qr) to the NC columns from j. The
+// columns' dot products interleave, so their add chains overlap; each
+// is still one sum in ascending row order, as for a lone column.
+template <int NC>
+void apply_reflector_cols(Matrix& qr, index_t k, double tau, index_t j) {
+  const index_t m = qr.rows();
+  const double* v = qr.col(k);
+  double* col[NC];
+  double s[NC];
+  for (int c = 0; c < NC; ++c) {
+    col[c] = qr.col(j + c);
+    s[c] = col[c][k];
+  }
+  for (index_t i = k + 1; i < m; ++i) {
+    const double vi = v[i];
+    for (int c = 0; c < NC; ++c) s[c] += vi * col[c][i];
+  }
+  for (int c = 0; c < NC; ++c) {
+    s[c] *= tau;
+    col[c][k] -= s[c];
+    for (index_t i = k + 1; i < m; ++i) col[c][i] -= s[c] * v[i];
+  }
+}
+
 // Apply reflector k (stored in qr) to columns [j0, n) of qr.
 void apply_reflector(Matrix& qr, index_t k, double tau, index_t j0) {
   if (tau == 0.0) return;
-  const index_t m = qr.rows();
+  constexpr index_t kCols = 8;
   const index_t n = qr.cols();
-  const double* v = qr.col(k);
-  for (index_t j = j0; j < n; ++j) {
-    double* col = qr.col(j);
-    double s = col[k];
-    for (index_t i = k + 1; i < m; ++i) s += v[i] * col[i];
-    s *= tau;
-    col[k] -= s;
-    for (index_t i = k + 1; i < m; ++i) col[i] -= s * v[i];
-  }
+  index_t j = j0;
+  for (; j + kCols <= n; j += kCols) apply_reflector_cols<kCols>(qr, k, tau, j);
+  for (; j < n; ++j) apply_reflector_cols<1>(qr, k, tau, j);
 }
 
 // Apply reflector k of f to one external column (length m), optionally

@@ -2,6 +2,8 @@
 // summation schemes (including GSKS == stored-GEMV parity).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -250,6 +252,32 @@ TEST(TileBlock, MatchesEntriesOnPartialTiles) {
                 ASSERT_NEAR(got, want, tol) << k.name() << " d=" << d;
               }
             }
+        }
+    }
+  }
+}
+
+// A tile's entries do not depend on the tile around them: an m x n
+// block equals, bitwise, its m * n blocks of size 1 x 1 built from the
+// same points, for every kernel. The block straddles tile edges and
+// holds pairs of a point with itself.
+TEST(TileBlock, EntriesMatchOneByOneBlocksBitwise) {
+  for (index_t d : {1, 8, 64}) {
+    const Matrix pts = random_points(d, 140, static_cast<uint64_t>(400 + d));
+    for (const Kernel& k : all_kernel_types()) {
+      KernelMatrix km(pts, k);
+      const auto rows = iota_idx(70);
+      const auto cols = iota_idx(67, 40);
+      const Matrix b = km.block(rows, cols);
+      for (index_t j = 0; j < 67; ++j)
+        for (index_t i = 0; i < 70; ++i) {
+          const index_t r = rows[static_cast<size_t>(i)];
+          const index_t c = cols[static_cast<size_t>(j)];
+          const Matrix one = km.block(std::span<const index_t>(&r, 1),
+                                      std::span<const index_t>(&c, 1));
+          ASSERT_EQ(std::bit_cast<uint64_t>(b(i, j)),
+                    std::bit_cast<uint64_t>(one(0, 0)))
+              << k.name() << " d=" << d << " (" << i << "," << j << ")";
         }
     }
   }

@@ -1,18 +1,23 @@
 // Tests for LU, Cholesky, QR, ID, SVD, and norm estimates.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
 
 #include "la/blas1.hpp"
 #include "la/chol.hpp"
 #include "la/gemm.hpp"
 #include "la/id.hpp"
+#include "la/kernels.hpp"
 #include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "la/norms.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
+#include "reference_kernels.hpp"
 
 namespace fdks::la {
 namespace {
@@ -129,6 +134,64 @@ TEST(Lu, BlockSolveMatchesVectorSolves) {
       EXPECT_NEAR(b2(i, j), col[static_cast<size_t>(i)], 1e-13);
   }
 }
+
+// The bitwise contract of la/kernels.hpp on the LU: every kernel
+// instantiation this CPU supports must reproduce the scalar reference
+// loops bit for bit, factor and block solves alike, with exact zeros in
+// A and in the right-hand sides and one all-zero right-hand side.
+class LuIsa : public ::testing::TestWithParam<detail::Isa> {};
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+TEST_P(LuIsa, FactorAndBlockSolveMatchReferenceBitwise) {
+  const detail::Isa isa = GetParam();
+  if (!detail::isa_supported(isa))
+    GTEST_SKIP() << "this CPU lacks " << detail::isa_name(isa);
+  const detail::ScopedIsa scope(isa);
+  std::mt19937_64 rng(77);
+  for (const index_t n : {1, 7, 64, 65, 128, 129, 256, 300}) {
+    Matrix a = Matrix::random_gaussian(n, n, rng);
+    for (index_t j = 0; j < n; j += 3) a((j * 5) % n, j) = 0.0;
+    const LuFactor got = lu_factor(a);
+    const LuFactor want = reference::lu_factor(a);
+    ASSERT_EQ(got.piv, want.piv) << "n=" << n;
+    ASSERT_TRUE(same_bits(got.min_pivot, want.min_pivot)) << "n=" << n;
+    ASSERT_TRUE(same_bits(got.max_pivot, want.max_pivot)) << "n=" << n;
+    ASSERT_EQ(got.singular, want.singular);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_TRUE(same_bits(got.lu(i, j), want.lu(i, j)))
+            << detail::isa_name(isa) << " n=" << n << " at (" << i << ","
+            << j << ")";
+
+    for (const index_t nrhs : {2, 3, 8, 64}) {
+      const index_t ld = n + 3;  // A strided view of a taller buffer.
+      Matrix rhs = Matrix::random_gaussian(ld, nrhs, rng);
+      for (index_t j = 0; j < nrhs; ++j)
+        for (index_t i = j % 5; i < n; i += 5) rhs(i, j) = 0.0;
+      for (index_t i = 0; i < ld; ++i) rhs(i, nrhs / 2) = 0.0;
+      Matrix x = rhs, ref = rhs;
+      lu_solve(want, MatrixView(x.data(), n, nrhs, ld));
+      reference::lu_solve(want, MatrixView(ref.data(), n, nrhs, ld));
+      for (index_t j = 0; j < nrhs; ++j)
+        for (index_t i = 0; i < ld; ++i)
+          ASSERT_TRUE(same_bits(x(i, j), ref(i, j)))
+              << detail::isa_name(isa) << " n=" << n << " B=" << nrhs
+              << " at (" << i << "," << j << "): " << x(i, j) << " vs "
+              << ref(i, j);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, LuIsa,
+    ::testing::Values(detail::Isa::Baseline, detail::Isa::Avx2,
+                      detail::Isa::Avx512),
+    [](const ::testing::TestParamInfo<detail::Isa>& p) {
+      return std::string(detail::isa_name(p.param));
+    });
 
 TEST(Lu, RcondTracksConditioning) {
   Matrix good = Matrix::identity(10);

@@ -1,14 +1,19 @@
 // Tests for GEMV and the blocked GEMM against the triple-loop reference.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "la/gemm.hpp"
+#include "la/kernels.hpp"
 #include "la/matrix.hpp"
 #include "obs/obs.hpp"
+#include "reference_kernels.hpp"
 
 namespace fdks::la {
 namespace {
@@ -285,6 +290,67 @@ TEST(GemmRaw, NarrowMatchesPackedBitwise) {
             }
         }
 }
+
+// ---- The bitwise contract (la/kernels.hpp) -------------------------
+//
+// Every kernel instantiation this CPU supports must reproduce the scalar
+// reference loops bit for bit: both sides of the 32^3 small-problem
+// cutoff, the n <= 4 narrow path, every tile edge and the 256-deep
+// chunk boundary, on padded leading dimensions, with exact zeros in B
+// (skipped terms) and a NaN in one row of A.
+class KernelIsa : public ::testing::TestWithParam<detail::Isa> {};
+
+#define SKIP_UNLESS_SUPPORTED(isa)                                  \
+  if (!detail::isa_supported(isa))                                  \
+  GTEST_SKIP() << "this CPU lacks " << detail::isa_name(isa)
+
+TEST_P(KernelIsa, GemmRawMatchesReferenceBitwise) {
+  SKIP_UNLESS_SUPPORTED(GetParam());
+  const detail::ScopedIsa scope(GetParam());
+  std::mt19937_64 rng(31);
+  std::normal_distribution<double> g(0.0, 1.0);
+  const double alphas[] = {1.0, -0.75};
+  const double betas[] = {0.0, 1.0, 0.5};
+  int shape = 0;
+  for (const index_t m : {1, 3, 15, 16, 17, 64, 129, 300})
+    for (const index_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 513})
+      for (const index_t k : {1, 8, 64, 255, 256, 257, 513}) {
+        ++shape;
+        const double alpha = alphas[shape % 2];
+        const double beta = betas[(shape / 2) % 3];
+        const index_t lda = m + 3, ldb = k + 2, ldc = m + 5;
+        std::vector<double> a(static_cast<size_t>(lda * k));
+        std::vector<double> b(static_cast<size_t>(ldb * n));
+        std::vector<double> c0(static_cast<size_t>(ldc * n));
+        for (auto* v : {&a, &b, &c0})
+          for (double& x : *v) x = g(rng);
+        for (size_t i = 0; i < b.size(); i += 7) b[i] = 0.0;
+        if (m >= 3 && shape % 3 == 0)  // One NaN in row m / 2 of A.
+          a[static_cast<size_t>(m / 2 + (k / 2) * lda)] =
+              std::numeric_limits<double>::quiet_NaN();
+        std::vector<double> got = c0, want = c0;
+        gemm_raw(m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
+                 got.data(), ldc);
+        reference::gemm_raw(m, n, k, alpha, a.data(), lda, b.data(), ldb,
+                            beta, want.data(), ldc);
+        for (size_t at = 0; at < got.size(); ++at)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[at]),
+                    std::bit_cast<std::uint64_t>(want[at]))
+              << detail::isa_name(GetParam()) << " m=" << m << " n=" << n
+              << " k=" << k << " alpha=" << alpha << " beta=" << beta
+              << " at (" << at % static_cast<size_t>(ldc) << ","
+              << at / static_cast<size_t>(ldc) << "): " << got[at]
+              << " vs " << want[at];
+      }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, KernelIsa,
+    ::testing::Values(detail::Isa::Baseline, detail::Isa::Avx2,
+                      detail::Isa::Avx512),
+    [](const ::testing::TestParamInfo<detail::Isa>& p) {
+      return std::string(detail::isa_name(p.param));
+    });
 
 TEST(GemvRaw, MatchesGemv) {
   std::mt19937_64 rng(4);
