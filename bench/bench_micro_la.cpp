@@ -11,6 +11,7 @@
 #include "kernel/gsks.hpp"
 #include "kernel/kernel_matrix.hpp"
 #include "la/gemm.hpp"
+#include "la/id.hpp"
 #include "la/lu.hpp"
 #include "la/qr.hpp"
 
@@ -118,8 +119,20 @@ static void BM_PivotedQr(benchmark::State& state) {
 }
 BENCHMARK(BM_PivotedQr)->Arg(64)->Arg(128)->Arg(256);
 
-// A leaf-shaped ID: QRCP of a 544 x 256 sample matrix stopped at rank
-// r = 64, 4 m n r - 2 (m + n) r^2 + 4 r^3 / 3 flops.
+// QRCP of an m x n sample matrix stopped at rank r: 4 m n r -
+// 2 (m + n) r^2 + 4 r^3 / 3 flops.
+static void set_qrcp_gflops(benchmark::State& state, index_t m, index_t n,
+                            index_t r) {
+  const double flops = 4.0 * double(m) * double(n) * double(r) -
+                       2.0 * double(m + n) * double(r) * double(r) +
+                       4.0 * double(r) * double(r) * double(r) / 3.0;
+  state.counters["GFLOPS"] = benchmark::Counter(
+      flops * double(state.iterations()) / 1e9, benchmark::Counter::kIsRate);
+}
+
+// The ID shapes of a skeletonization with 256-point leaves and s_max =
+// 64: a leaf samples 544 rows of its 256 points, an internal node 288
+// rows of its children's 128 skeleton points.
 static void BM_PivotedQrLeafId(benchmark::State& state) {
   const index_t m = state.range(0), n = state.range(1), r = state.range(2);
   std::mt19937_64 rng(7);
@@ -128,13 +141,25 @@ static void BM_PivotedQrLeafId(benchmark::State& state) {
     la::QrFactor f = la::qr_factor_pivoted(a, 0.0, r);
     benchmark::DoNotOptimize(f.qr.data());
   }
-  const double flops = 4.0 * double(m) * double(n) * double(r) -
-                       2.0 * double(m + n) * double(r) * double(r) +
-                       4.0 * double(r) * double(r) * double(r) / 3.0;
-  state.counters["GFLOPS"] = benchmark::Counter(
-      flops * double(state.iterations()) / 1e9, benchmark::Counter::kIsRate);
+  set_qrcp_gflops(state, m, n, r);
 }
 BENCHMARK(BM_PivotedQrLeafId)->Args({544, 256, 64})->Args({288, 128, 64});
+
+// The whole ID on the same shapes: the QRCP plus R11^-1 R12 and P, rated
+// by the QRCP's flops alone so the two rates compare.
+static void BM_InterpolativeDecomposition(benchmark::State& state) {
+  const index_t m = state.range(0), n = state.range(1), r = state.range(2);
+  std::mt19937_64 rng(7);
+  Matrix a = Matrix::random_gaussian(m, n, rng);
+  for (auto _ : state) {
+    la::IdResult id = la::interpolative_decomposition(a, 0.0, r);
+    benchmark::DoNotOptimize(id.p.data());
+  }
+  set_qrcp_gflops(state, m, n, r);
+}
+BENCHMARK(BM_InterpolativeDecomposition)
+    ->Args({544, 256, 64})
+    ->Args({288, 128, 64});
 
 static void BM_GsksApply(benchmark::State& state) {
   const index_t n = state.range(0);

@@ -95,7 +95,8 @@ decltype(auto) phase(const char* name, F&& f) {
 }
 
 /// Write BENCH_<name>.json in the working directory from the current
-/// obs snapshot and announce it on stdout. Peak process memory is
+/// obs snapshot and announce it on stderr, so a bench's stdout holds
+/// only its own report (google-benchmark's JSON stays valid). Peak process memory is
 /// stamped in as mem.peak_rss_bytes so the regression gate can watch
 /// footprint alongside work counters. With FDKS_TRACE=<file.json> in
 /// the environment and tracing enabled, the event trace is exported
@@ -107,10 +108,10 @@ inline void write_bench_json(const char* name,
   if (peak > 0.0) snap.counters["mem.peak_rss_bytes"] = peak;
   const std::string path = std::string("BENCH_") + name + ".json";
   if (obs::write_json(path, name, config, snap))
-    std::printf("\n[obs] wrote %s\n", path.c_str());
+    std::fprintf(stderr, "\n[obs] wrote %s\n", path.c_str());
   if (const char* tr = std::getenv("FDKS_TRACE"); tr && *tr)
     if (obs::trace::enabled() && obs::trace::write_chrome_trace(tr))
-      std::printf("[obs] wrote trace %s\n", tr);
+      std::fprintf(stderr, "[obs] wrote trace %s\n", tr);
 }
 
 }  // namespace fdks::bench

@@ -72,6 +72,13 @@ struct BuildStats {
   index_t max_rank_used = 0;
   index_t frontier_size = 0;
   index_t skeletonized_nodes = 0;
+  /// Skeletonized nodes whose ID stopped at max_rank before it met tol
+  /// (achieved tolerance above tol). Set by a build, not on the
+  /// deserialization path, like the seconds above.
+  index_t capped_nodes = 0;
+  /// Largest achieved tolerance over the skeletonized nodes: each ID's
+  /// sigma_{s+1}/sigma_1 estimate (la::IdResult::achieved_tol).
+  double worst_achieved_tol = 0.0;
 };
 
 class HMatrix {

@@ -1,6 +1,7 @@
 // Construction of the hierarchical representation: tree build, neighbour
 // sampling, and the bottom-up skeletonization of Algorithm II.1.
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -73,6 +74,7 @@ void HMatrix::skeletonize_all() {
   }
   obs::add("skeleton.nodes", double(stats_.skeletonized_nodes));
   obs::add("skeleton.rank_sum", rank_sum);
+  obs::add("skeleton.capped_nodes", double(stats_.capped_nodes));
 
   compute_frontier();
   stats_.frontier_size = static_cast<index_t>(frontier_.size());
@@ -199,6 +201,14 @@ void HMatrix::skeletonize_node(index_t id, const knn::KnnResult* neighbors,
         cand[static_cast<size_t>(idr.skeleton[static_cast<size_t>(j)])];
   out.proj = std::move(idr.p);
   out.rdiag = std::move(idr.rdiag);
+
+  // Which criterion stopped the ID: a node whose achieved ratio is not
+  // at most tol (NaN included) was capped by max_rank.
+  const double achieved = idr.achieved_tol;
+  obs::hist("skeleton.achieved_tol", achieved);
+  if (!(achieved <= cfg_.tol)) ++stats_.capped_nodes;
+  if (std::isnan(achieved) || achieved > stats_.worst_achieved_tol)
+    stats_.worst_achieved_tol = achieved;
 }
 
 void HMatrix::compute_effective_skeletons() {

@@ -19,6 +19,7 @@ IdResult interpolative_decomposition(const Matrix& a, double tol,
   const index_t s = f.rank;
   out.rank = s;
   out.rdiag = f.rdiag();
+  out.achieved_tol = f.achieved_tol;
   out.compressed = s < n;
 
   out.skeleton.resize(static_cast<size_t>(s));

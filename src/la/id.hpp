@@ -17,6 +17,10 @@ struct IdResult {
   Matrix p;                       ///< s-by-n interpolation matrix.
   index_t rank = 0;               ///< s = skeleton.size().
   std::vector<double> rdiag;      ///< |R(k,k)| decay, for diagnostics.
+  double achieved_tol = 0.0;      ///< Where the ID stopped, as a ratio to
+                                  ///< |R(0,0)| (QrFactor::achieved_tol):
+                                  ///< at most tol when tol was met, above
+                                  ///< it when max_rank capped the rank.
   bool compressed = false;        ///< rank < n (some reduction happened).
 };
 

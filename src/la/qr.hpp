@@ -5,6 +5,16 @@
 // interpolative decomposition (skeletonization): pivots order the columns
 // by residual norm, and the diagonal of R estimates the singular-value
 // decay used for the adaptive-rank criterion sigma_{s+1}/sigma_1 < tau.
+//
+// Both run the QR family of la/kernels.hpp. It packs the columns into
+// panels of W columns (m rows, row-major inside), so each vector op
+// covers one row of W columns, and it makes one sweep down the rows per
+// step: step k's update of the trailing columns is applied in the same
+// pass that forms step k+1's reflector dot products. Pivots follow the
+// classic GEQP3 norm downdate, one column at a time, with no blocking
+// or sketching. Every column keeps its own chain of adds in ascending
+// rows, without FMA, so the factors are bitwise those of the textbook
+// column-at-a-time loops (tests/reference_kernels.hpp) on every ISA.
 #pragma once
 
 #include <vector>
@@ -23,6 +33,13 @@ struct QrFactor {
                               ///< pivoting is off.
   index_t rank = 0;           ///< Columns processed (min(m,n) or the
                               ///< truncation point for pivoted QR).
+  double achieved_tol = 0.0;  ///< Pivoted QR: the ratio to |R(0,0)| at
+                              ///< which it stopped. At a tol stop at
+                              ///< step s, |R(s,s)|/|R(0,0)|; at the
+                              ///< max_rank cap, the next pivot's
+                              ///< downdated column norm over |R(0,0)|;
+                              ///< 0 when every column was kept (or A
+                              ///< is zero). 0 for unpivoted QR.
 
   index_t m() const { return qr.rows(); }
   index_t n() const { return qr.cols(); }

@@ -90,6 +90,8 @@
   X(kScopeTree,               "tree",                        Timer)        \
   X(kScopeVAssembly,          "v_assembly",                  Timer)        \
   X(kScopeZFactor,            "z_factor",                    Timer)        \
+  X(kSkeletonAchievedTol,     "skeleton.achieved_tol",       Histogram)    \
+  X(kSkeletonCappedNodes,     "skeleton.capped_nodes",       Counter)      \
   X(kSkeletonNodes,           "skeleton.nodes",              Counter)      \
   X(kSkeletonRankSum,         "skeleton.rank_sum",           Counter)      \
   /* message-passing runtime (src/mpisim) */                               \

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <set>
 
 #include "askit/hmatrix.hpp"
 #include "la/blas1.hpp"
 #include "la/gemm.hpp"
+#include "obs/obs.hpp"
 
 namespace fdks::askit {
 namespace {
@@ -50,6 +52,54 @@ TEST(HMatrix, BuildsAndReportsStats) {
   EXPECT_GT(h.stats().skeletonized_nodes, 0);
   EXPECT_GT(h.stats().frontier_size, 0);
   EXPECT_LE(h.stats().max_rank_used, 32);
+}
+
+// Each ID reports the ratio at which it stopped. A max_rank too small
+// for tol caps nodes above tol; a cap no node can reach leaves every
+// node at or below tol. The obs counter and histogram carry the same.
+TEST(HMatrix, ForcedRankCapReportsCappedNodes) {
+  Matrix p = clustered_points(3, 512, 11);
+  AskitConfig cfg = small_config();
+  cfg.tol = 1e-7;
+  cfg.max_rank = 4;
+  obs::set_enabled(true);
+  obs::reset();
+  HMatrix h(p, Kernel::gaussian(1.0), cfg);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::reset();
+  obs::set_enabled(false);
+  const BuildStats& st = h.stats();
+  EXPECT_GT(st.capped_nodes, 0);
+  EXPECT_LE(st.capped_nodes, st.skeletonized_nodes);
+  EXPECT_GT(st.worst_achieved_tol, cfg.tol);
+  EXPECT_EQ(snap.counters.at("skeleton.capped_nodes"),
+            double(st.capped_nodes));
+  const obs::HistogramSnapshot& hist =
+      snap.histograms.at("skeleton.achieved_tol");
+  EXPECT_EQ(hist.count, static_cast<std::uint64_t>(st.skeletonized_nodes));
+  EXPECT_EQ(hist.max, st.worst_achieved_tol);
+}
+
+TEST(HMatrix, GenerousRankCapMeetsTolerance) {
+  Matrix p = clustered_points(3, 512, 11);
+  AskitConfig cfg = small_config();
+  cfg.tol = 1e-5;
+  cfg.max_rank = 256;  // Above every candidate count (at most 64).
+  obs::set_enabled(true);
+  obs::reset();
+  HMatrix h(p, Kernel::gaussian(1.0), cfg);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::reset();
+  obs::set_enabled(false);
+  const BuildStats& st = h.stats();
+  ASSERT_GT(st.skeletonized_nodes, 0);
+  EXPECT_EQ(st.capped_nodes, 0);
+  EXPECT_LE(st.worst_achieved_tol, cfg.tol);
+  EXPECT_EQ(snap.counters.at("skeleton.capped_nodes"), 0.0);
+  const obs::HistogramSnapshot& hist =
+      snap.histograms.at("skeleton.achieved_tol");
+  EXPECT_EQ(hist.count, static_cast<std::uint64_t>(st.skeletonized_nodes));
+  EXPECT_LE(hist.max, cfg.tol);
 }
 
 TEST(HMatrix, SkeletonIsSubsetOfNodePoints) {

@@ -4,8 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "la/blas1.hpp"
 #include "la/chol.hpp"
@@ -301,6 +304,194 @@ TEST(QrPivoted, MaxRankCaps) {
   Matrix a = Matrix::random_gaussian(16, 16, rng);
   QrFactor f = qr_factor_pivoted(a, 0.0, 5);
   EXPECT_EQ(f.rank, 5);
+}
+
+// The bitwise contract of la/kernels.hpp on the QR family: every
+// instantiation this CPU supports must reproduce the column-at-a-time
+// reference loops bit for bit (qr, tau, jpvt, rank and the achieved
+// ratio), pivoted and unpivoted, across panel edges in both m and n,
+// with rank stops before, at and after a panel edge.
+class QrIsa : public ::testing::TestWithParam<detail::Isa> {};
+
+::testing::AssertionResult same_qr(const QrFactor& got, const QrFactor& want) {
+  if (got.rank != want.rank)
+    return ::testing::AssertionFailure()
+           << "rank " << got.rank << " vs " << want.rank;
+  if (got.jpvt != want.jpvt) return ::testing::AssertionFailure() << "jpvt";
+  if (!same_bits(got.achieved_tol, want.achieved_tol))
+    return ::testing::AssertionFailure() << "achieved_tol " << got.achieved_tol
+                                         << " vs " << want.achieved_tol;
+  if (got.tau.size() != want.tau.size())
+    return ::testing::AssertionFailure() << "tau size";
+  for (size_t k = 0; k < got.tau.size(); ++k)
+    if (!same_bits(got.tau[k], want.tau[k]))
+      return ::testing::AssertionFailure()
+             << "tau[" << k << "] " << got.tau[k] << " vs " << want.tau[k];
+  if (got.m() != want.m() || got.n() != want.n())
+    return ::testing::AssertionFailure() << "shape";
+  for (index_t j = 0; j < got.n(); ++j)
+    for (index_t i = 0; i < got.m(); ++i)
+      if (!same_bits(got.qr(i, j), want.qr(i, j)))
+        return ::testing::AssertionFailure()
+               << "qr(" << i << "," << j << ") " << got.qr(i, j) << " vs "
+               << want.qr(i, j);
+  return ::testing::AssertionSuccess();
+}
+
+// A Gaussian-kernel block K(x_i, y_j) on points in the unit cube of R^3:
+// the singular values decay the way a skeletonization sample's do, so
+// tol stops land at many ranks.
+Matrix kernel_block(index_t m, index_t n, double h, std::mt19937_64& rng) {
+  const Matrix x = Matrix::random_uniform(3, m, rng, 0.0, 1.0);
+  const Matrix y = Matrix::random_uniform(3, n, rng, 0.0, 1.0);
+  Matrix a(m, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      double d2 = 0.0;
+      for (index_t c = 0; c < 3; ++c) {
+        const double t = x(c, i) - y(c, j);
+        d2 += t * t;
+      }
+      a(i, j) = std::exp(-d2 / (2.0 * h * h));
+    }
+  return a;
+}
+
+TEST_P(QrIsa, MatchesReferenceBitwise) {
+  const detail::Isa isa = GetParam();
+  if (!detail::isa_supported(isa))
+    GTEST_SKIP() << "this CPU lacks " << detail::isa_name(isa);
+  const detail::ScopedIsa scope(isa);
+  std::mt19937_64 rng(91);
+  int shape = 0;
+  for (const index_t m : {1, 7, 64, 288, 544})
+    for (const index_t n : {1, 3, 4, 5, 8, 9, 33, 128, 256}) {
+      // Alternate kernel blocks (fast decay) with Gaussian matrices
+      // (no decay); every third shape gets an exact zero column.
+      Matrix a = (shape % 2 == 0) ? kernel_block(m, n, 0.6, rng)
+                                  : Matrix::random_gaussian(m, n, rng);
+      if (shape % 3 == 0 && n > 1)
+        for (index_t i = 0; i < m; ++i) a(i, n / 2) = 0.0;
+      ++shape;
+      const std::string at = std::string(detail::isa_name(isa)) + " m=" +
+                             std::to_string(m) + " n=" + std::to_string(n);
+      ASSERT_TRUE(same_qr(qr_factor(a), reference::qr_factor(a)))
+          << at << " unpivoted";
+      for (const double tol : {0.0, 1e-5, 1e-10})
+        for (const index_t cap : {0, 5, 64})
+          ASSERT_TRUE(same_qr(qr_factor_pivoted(a, tol, cap),
+                              reference::qr_factor_pivoted(a, tol, cap)))
+              << at << " tol=" << tol << " max_rank=" << cap;
+    }
+}
+
+TEST_P(QrIsa, SpecialInputsMatchReferenceBitwise) {
+  const detail::Isa isa = GetParam();
+  if (!detail::isa_supported(isa))
+    GTEST_SKIP() << "this CPU lacks " << detail::isa_name(isa);
+  const detail::ScopedIsa scope(isa);
+  std::mt19937_64 rng(92);
+  std::vector<std::pair<std::string, Matrix>> cases;
+  cases.emplace_back("all zero", Matrix(64, 33));
+  {
+    // Column 9 is column 4 plus 1e-9 noise: once column 4 is a pivot,
+    // column 9's downdated norm cancels and is recomputed.
+    Matrix a = Matrix::random_gaussian(64, 33, rng);
+    for (index_t i = 0; i < 64; ++i)
+      a(i, 9) = a(i, 4) * 3.0 + 1e-9 * a(i, 20);
+    for (index_t i = 0; i < 64; ++i) a(i, 4) *= 100.0;  // Pivot first.
+    cases.emplace_back("near-dependent pair", std::move(a));
+  }
+  {
+    Matrix a = kernel_block(288, 128, 0.6, rng);
+    for (index_t i = 0; i < 288; ++i) a(i, 0) = a(i, 127) = 0.0;
+    cases.emplace_back("zero columns", std::move(a));
+  }
+  {
+    Matrix a = kernel_block(64, 33, 0.6, rng);
+    a(10, 17) = std::numeric_limits<double>::quiet_NaN();
+    cases.emplace_back("NaN entry", std::move(a));
+  }
+  for (const auto& [name, a] : cases) {
+    ASSERT_TRUE(same_qr(qr_factor(a), reference::qr_factor(a))) << name;
+    for (const double tol : {0.0, 1e-5})
+      for (const index_t cap : {0, 5})
+        ASSERT_TRUE(same_qr(qr_factor_pivoted(a, tol, cap),
+                            reference::qr_factor_pivoted(a, tol, cap)))
+            << detail::isa_name(isa) << " " << name << " tol=" << tol
+            << " max_rank=" << cap;
+  }
+}
+
+TEST_P(QrIsa, IdMatchesReferenceBitwise) {
+  const detail::Isa isa = GetParam();
+  if (!detail::isa_supported(isa))
+    GTEST_SKIP() << "this CPU lacks " << detail::isa_name(isa);
+  const detail::ScopedIsa scope(isa);
+  std::mt19937_64 rng(93);
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{544, 256},
+                             {288, 128}, {100, 37}}) {
+    const Matrix a = kernel_block(m, n, 0.6, rng);
+    for (const double tol : {1e-5, 1e-10})
+      for (const index_t cap : {0, 64}) {
+        const IdResult got = interpolative_decomposition(a, tol, cap);
+        const IdResult want = reference::interpolative_decomposition(a, tol, cap);
+        const std::string at = std::string(detail::isa_name(isa)) + " m=" +
+                               std::to_string(m) + " n=" + std::to_string(n) +
+                               " tol=" + std::to_string(tol) +
+                               " max_rank=" + std::to_string(cap);
+        ASSERT_EQ(got.rank, want.rank) << at;
+        ASSERT_EQ(got.skeleton, want.skeleton) << at;
+        ASSERT_TRUE(same_bits(got.achieved_tol, want.achieved_tol)) << at;
+        ASSERT_EQ(got.rdiag.size(), want.rdiag.size()) << at;
+        for (size_t k = 0; k < got.rdiag.size(); ++k)
+          ASSERT_TRUE(same_bits(got.rdiag[k], want.rdiag[k])) << at;
+        ASSERT_EQ(got.p.rows(), want.p.rows()) << at;
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < got.p.rows(); ++i)
+            ASSERT_TRUE(same_bits(got.p(i, j), want.p(i, j)))
+                << at << " p(" << i << "," << j << ")";
+      }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, QrIsa,
+    ::testing::Values(detail::Isa::Baseline, detail::Isa::Avx2,
+                      detail::Isa::Avx512),
+    [](const ::testing::TestParamInfo<detail::Isa>& p) {
+      return std::string(detail::isa_name(p.param));
+    });
+
+// The achieved ratio names where the QR stopped: at a tol stop it is
+// |R(s,s)|/|R(0,0)| <= tol; at the max_rank cap it is the next pivot's
+// residual norm over |R(0,0)| (here above tol); with every column kept
+// it is 0.
+TEST(QrPivoted, ReportsAchievedTolerance) {
+  std::mt19937_64 rng(38);
+  const Matrix a = kernel_block(200, 60, 1.0, rng);
+  const QrFactor stop = qr_factor_pivoted(a, 1e-6);
+  ASSERT_LT(stop.rank, 60);
+  EXPECT_LE(stop.achieved_tol, 1e-6);
+  EXPECT_EQ(stop.achieved_tol,
+            std::abs(stop.qr(stop.rank, stop.rank)) / std::abs(stop.qr(0, 0)));
+
+  const QrFactor capped = qr_factor_pivoted(a, 1e-6, 5);
+  ASSERT_EQ(capped.rank, 5);
+  EXPECT_GT(capped.achieved_tol, 1e-6);
+  // The downdated norm tracks the true norm of the residual columns.
+  double worst = 0.0;
+  for (index_t j = 5; j < 60; ++j) {
+    double s = 0.0;
+    for (index_t i = 5; i < 200; ++i) s += capped.qr(i, j) * capped.qr(i, j);
+    worst = std::max(worst, std::sqrt(s));
+  }
+  EXPECT_NEAR(capped.achieved_tol, worst / std::abs(capped.qr(0, 0)),
+              1e-8 * capped.achieved_tol);
+
+  const QrFactor full = qr_factor_pivoted(a.block(0, 0, 200, 4), 1e-6);
+  EXPECT_EQ(full.rank, 4);
+  EXPECT_EQ(full.achieved_tol, 0.0);
 }
 
 // ----------------------------------------------------------------- ID --

@@ -1,18 +1,25 @@
 // Scalar references for the bitwise contract of la/kernels.hpp: the
-// loops la::gemm_raw, la::lu_factor and the block la::lu_solve ran
-// before their kernels were register-blocked and ISA-dispatched, kept
+// loops la::gemm_raw, la::lu_factor, the block la::lu_solve, the two
+// Householder QRs, la::qr_solve_r and the ID ran before their kernels
+// were register-blocked or packed into panels and ISA-dispatched, kept
 // here verbatim in arithmetic. Every instantiation of the kernels must
-// reproduce them bit for bit, NaN propagation included.
+// reproduce them bit for bit, NaN propagation included. The pivoted QR
+// also reports the ratio at which it stopped (QrFactor::achieved_tol),
+// which the old loop did not; it is computed here from the same
+// figures.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
+#include "la/id.hpp"
 #include "la/lu.hpp"
 #include "la/matrix.hpp"
+#include "la/qr.hpp"
 
 namespace fdks::la::reference {
 
@@ -248,6 +255,196 @@ inline void lu_solve(const LuFactor& f, MatrixView b) {
       for (index_t i = 0; i < k; ++i) bj[i] -= col[i] * bk;
     }
   }
+}
+
+namespace detail {
+
+inline double make_reflector(Matrix& qr, index_t k) {
+  const index_t m = qr.rows();
+  double* col = qr.col(k);
+  double alpha = col[k];
+  double xnorm = 0.0;
+  for (index_t i = k + 1; i < m; ++i) xnorm += col[i] * col[i];
+  xnorm = std::sqrt(xnorm);
+  if (xnorm == 0.0 && alpha >= 0.0) return 0.0;
+  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
+  const double tau = (beta - alpha) / beta;
+  const double scale = 1.0 / (alpha - beta);
+  for (index_t i = k + 1; i < m; ++i) col[i] *= scale;
+  col[k] = beta;
+  return tau;
+}
+
+template <int NC>
+void apply_reflector_cols(Matrix& qr, index_t k, double tau, index_t j) {
+  const index_t m = qr.rows();
+  const double* v = qr.col(k);
+  double* col[NC];
+  double s[NC];
+  for (int c = 0; c < NC; ++c) {
+    col[c] = qr.col(j + c);
+    s[c] = col[c][k];
+  }
+  for (index_t i = k + 1; i < m; ++i) {
+    const double vi = v[i];
+    for (int c = 0; c < NC; ++c) s[c] += vi * col[c][i];
+  }
+  for (int c = 0; c < NC; ++c) {
+    s[c] *= tau;
+    col[c][k] -= s[c];
+    for (index_t i = k + 1; i < m; ++i) col[c][i] -= s[c] * v[i];
+  }
+}
+
+inline void apply_reflector(Matrix& qr, index_t k, double tau, index_t j0) {
+  if (tau == 0.0) return;
+  constexpr index_t kCols = 8;
+  const index_t n = qr.cols();
+  index_t j = j0;
+  for (; j + kCols <= n; j += kCols) apply_reflector_cols<kCols>(qr, k, tau, j);
+  for (; j < n; ++j) apply_reflector_cols<1>(qr, k, tau, j);
+}
+
+}  // namespace detail
+
+/// la::qr_factor's arithmetic.
+inline QrFactor qr_factor(const Matrix& a) {
+  QrFactor f;
+  f.qr = a;
+  const index_t m = a.rows();
+  const index_t n = a.cols();
+  const index_t kmax = std::min(m, n);
+  f.tau.assign(static_cast<size_t>(kmax), 0.0);
+  f.jpvt.resize(static_cast<size_t>(n));
+  std::iota(f.jpvt.begin(), f.jpvt.end(), index_t{0});
+  for (index_t k = 0; k < kmax; ++k) {
+    f.tau[static_cast<size_t>(k)] = detail::make_reflector(f.qr, k);
+    detail::apply_reflector(f.qr, k, f.tau[static_cast<size_t>(k)], k + 1);
+  }
+  f.rank = kmax;
+  return f;
+}
+
+/// la::qr_factor_pivoted's arithmetic.
+inline QrFactor qr_factor_pivoted(const Matrix& a, double tol = 0.0,
+                                  index_t max_rank = 0) {
+  QrFactor f;
+  f.qr = a;
+  const index_t m = a.rows();
+  const index_t n = a.cols();
+  index_t kmax = std::min(m, n);
+  if (max_rank > 0) kmax = std::min(kmax, max_rank);
+  f.tau.assign(static_cast<size_t>(std::min(m, n)), 0.0);
+  f.jpvt.resize(static_cast<size_t>(n));
+  std::iota(f.jpvt.begin(), f.jpvt.end(), index_t{0});
+
+  std::vector<double> cnorm2(static_cast<size_t>(n));
+  std::vector<double> cnorm2_exact(static_cast<size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    double s = 0.0;
+    const double* col = f.qr.col(j);
+    for (index_t i = 0; i < m; ++i) s += col[i] * col[i];
+    cnorm2[static_cast<size_t>(j)] = s;
+    cnorm2_exact[static_cast<size_t>(j)] = s;
+  }
+
+  double r00 = 0.0;
+  bool stopped = false;
+  index_t k = 0;
+  for (; k < kmax; ++k) {
+    index_t p = k;
+    double best = cnorm2[static_cast<size_t>(k)];
+    for (index_t j = k + 1; j < n; ++j) {
+      if (cnorm2[static_cast<size_t>(j)] > best) {
+        best = cnorm2[static_cast<size_t>(j)];
+        p = j;
+      }
+    }
+    if (p != k) {
+      for (index_t i = 0; i < m; ++i) std::swap(f.qr(i, k), f.qr(i, p));
+      std::swap(f.jpvt[static_cast<size_t>(k)], f.jpvt[static_cast<size_t>(p)]);
+      std::swap(cnorm2[static_cast<size_t>(k)], cnorm2[static_cast<size_t>(p)]);
+      std::swap(cnorm2_exact[static_cast<size_t>(k)],
+                cnorm2_exact[static_cast<size_t>(p)]);
+    }
+
+    f.tau[static_cast<size_t>(k)] = detail::make_reflector(f.qr, k);
+    detail::apply_reflector(f.qr, k, f.tau[static_cast<size_t>(k)], k + 1);
+
+    const double rkk = std::abs(f.qr(k, k));
+    if (k == 0) r00 = rkk;
+    if (tol > 0.0 && r00 > 0.0 && rkk <= tol * r00) {
+      f.achieved_tol = rkk / r00;
+      stopped = true;
+      break;
+    }
+
+    for (index_t j = k + 1; j < n; ++j) {
+      const double rkj = f.qr(k, j);
+      double& c2 = cnorm2[static_cast<size_t>(j)];
+      c2 -= rkj * rkj;
+      if (c2 <= 1e-12 * cnorm2_exact[static_cast<size_t>(j)]) {
+        double s = 0.0;
+        const double* col = f.qr.col(j);
+        for (index_t i = k + 1; i < m; ++i) s += col[i] * col[i];
+        c2 = s;
+        cnorm2_exact[static_cast<size_t>(j)] = s;
+      }
+      if (c2 < 0.0) c2 = 0.0;
+    }
+  }
+  if (!stopped && k < n && r00 > 0.0) {
+    double best = cnorm2[static_cast<size_t>(k)];
+    for (index_t j = k + 1; j < n; ++j)
+      if (cnorm2[static_cast<size_t>(j)] > best)
+        best = cnorm2[static_cast<size_t>(j)];
+    f.achieved_tol = std::sqrt(best) / r00;
+  }
+  f.rank = k;
+  if (f.rank == 0 && kmax > 0) f.rank = 1;
+  return f;
+}
+
+/// la::qr_solve_r's arithmetic.
+inline void qr_solve_r(const QrFactor& f, Matrix& b) {
+  const index_t k = f.rank;
+  for (index_t j = 0; j < b.cols(); ++j) {
+    double* col = b.col(j);
+    for (index_t i = k - 1; i >= 0; --i) {
+      double s = col[i];
+      for (index_t p = i + 1; p < k; ++p) s -= f.qr(i, p) * col[p];
+      col[i] = s / f.qr(i, i);
+    }
+  }
+}
+
+/// la::interpolative_decomposition's arithmetic.
+inline IdResult interpolative_decomposition(const Matrix& a, double tol,
+                                            index_t max_rank = 0) {
+  IdResult out;
+  const index_t n = a.cols();
+  if (n == 0) return out;
+  QrFactor f = reference::qr_factor_pivoted(a, tol, max_rank);
+  const index_t s = f.rank;
+  out.rank = s;
+  out.rdiag = f.rdiag();
+  out.achieved_tol = f.achieved_tol;
+  out.compressed = s < n;
+  out.skeleton.resize(static_cast<size_t>(s));
+  for (index_t k = 0; k < s; ++k)
+    out.skeleton[static_cast<size_t>(k)] = f.jpvt[static_cast<size_t>(k)];
+  Matrix r12(s, n - s);
+  for (index_t j = 0; j < n - s; ++j)
+    for (index_t i = 0; i < s; ++i) r12(i, j) = f.qr(i, s + j);
+  if (r12.cols() > 0) reference::qr_solve_r(f, r12);
+  out.p.resize(s, n);
+  for (index_t k = 0; k < s; ++k)
+    out.p(k, f.jpvt[static_cast<size_t>(k)]) = 1.0;
+  for (index_t j = 0; j < n - s; ++j) {
+    const index_t orig = f.jpvt[static_cast<size_t>(s + j)];
+    for (index_t i = 0; i < s; ++i) out.p(i, orig) = r12(i, j);
+  }
+  return out;
 }
 
 }  // namespace fdks::la::reference
